@@ -1,6 +1,7 @@
 (* One measured repetition of one benchmark workload.
 
    Usage: perfbench.exe WORKLOAD --seed N [--trace] [--slice-ms MS]
+          perfbench.exe WORKLOAD --seed N --setup-probe MS
 
    WORKLOAD is put, read, txn or failover (see README.md). The program boots
    a simulated Spinnaker cluster, drives it with closed-loop clients for a
@@ -15,13 +16,16 @@
      spans around client calls (only with --trace);
    - "failures": every failed output check (empty when the run is correct).
 
+   With --setup-probe it only times the set-up (boot plus preload) again and
+   again for MS milliseconds of wall time and prints the times.
+
    perfbench/run.py repeats this program and reports medians. Every layer
    is observed from outside, through the library's public interfaces. The
    simulated environment (network, disks, timers) always uses the engine's
    default seed; --seed drives only the workload's keys, operation mix and
    think times. Between slices of simulated time the program samples the
-   engine and polls leadership; slicing schedules no events, so the slice
-   length cannot change a run (the self-test checks this). *)
+   engine and polls leadership; the slice length cannot change a run (the
+   self-test checks this). *)
 
 open Spinnaker
 module H = Sim.Metrics.Histogram
@@ -46,6 +50,7 @@ type entry = {
   mutable serial : int;  (** writes invoked on the key *)
   mutable last : int;  (** pool index of the newest invoked write *)
   mutable acked : bool;  (** the newest invoked write was acknowledged *)
+  mutable any_acked : bool;  (** some write of the key was acknowledged *)
   mutable inflight : int;
   mutable ambiguous : bool;
       (** writes overlapped or one failed: any written value may be current *)
@@ -70,7 +75,15 @@ let ledger_write l key =
     | Some e -> e
     | None ->
       let e =
-        { serial = 0; last = 0; acked = false; inflight = 0; ambiguous = false; written = [] }
+        {
+          serial = 0;
+          last = 0;
+          acked = false;
+          any_acked = false;
+          inflight = 0;
+          ambiguous = false;
+          written = [];
+        }
       in
       Hashtbl.add l.keys key e;
       e
@@ -87,11 +100,16 @@ let ledger_write l key =
   ( l.pool.(idx),
     fun ok ->
       e.inflight <- e.inflight - 1;
-      if not ok then e.ambiguous <- true else if serial = e.serial then e.acked <- true )
+      if not ok then e.ambiguous <- true
+      else begin
+        e.any_acked <- true;
+        if serial = e.serial then e.acked <- true
+      end )
 
 (* A read-back of [key] after every write completed: an acknowledged newest
    write with no overlap must be exactly what is read; otherwise the value
-   must be one that was written. *)
+   must be one that was written, or absent if no write was acknowledged (a
+   failed write may never have been applied). *)
 let ledger_check l key got =
   match Hashtbl.find_opt l.keys key with
   | None -> None
@@ -101,6 +119,7 @@ let ledger_check l key got =
       if is e.last then None
       else Some (Printf.sprintf "%s: acknowledged write v%02d lost" key e.last)
     else if List.exists is e.written then None
+    else if got = None && not e.any_acked then None
     else Some (Printf.sprintf "%s: read a value that was never written" key)
 
 let acked_keys l =
@@ -136,6 +155,8 @@ type run = {
   mutable replay : string list;
   mutable replay_n : int;
   (* engine and leadership sampling between slices *)
+  mutable fine : bool;  (** poll after every event, not only between slices *)
+  mutable markers : int;  (** slice-end marker events scheduled for [fine] *)
   mutable pending_sum : float;
   mutable pending_n : int;
   leaders : int option array;
@@ -221,10 +242,22 @@ let get client ~consistent key k =
 
 (* Advance simulated time to [until] in slices, sampling the pending-event
    count and running [poll] between slices. [Engine.run_until] only pops
-   events that are already due, so slicing adds none. *)
+   events that are already due, so slicing adds none. While [r.fine] is set,
+   [poll] also runs after every event: a no-op marker event at the slice end
+   tells the event-by-event loop where to stop. Markers change no other
+   event's order; they are counted in [r.markers] and left out of the event
+   counts. *)
 let advance r ~poll until =
   while T.(Sim.Engine.now r.engine < until) do
     let next = T.min until (T.add (Sim.Engine.now r.engine) r.slice) in
+    if r.fine then begin
+      let reached = ref false in
+      ignore (Sim.Engine.schedule_at r.engine next (fun () -> reached := true));
+      r.markers <- r.markers + 1;
+      while r.fine && (not !reached) && Sim.Engine.step r.engine do
+        poll ()
+      done
+    end;
     Sim.Engine.run_until r.engine next;
     r.pending_sum <- r.pending_sum +. float_of_int (Sim.Engine.pending r.engine);
     r.pending_n <- r.pending_n + 1;
@@ -577,7 +610,9 @@ let txn_spec =
 (* failover: 64 clients, each operation a write with probability 0.6 and a
    strong read otherwise, on uniform keys over the default 10-node cluster.
    Two seconds into the window the leader of range 0 crashes; it restarts
-   six seconds later. *)
+   six seconds later. From the crash until every range it led has a new
+   leader, and from the restart until it has caught up, leadership and
+   catch-up are polled after every event, so their instants are exact. *)
 let failover_spec =
   let config = Config.default in
   {
@@ -590,51 +625,52 @@ let failover_spec =
         let ledger = ledger config.Config.value_bytes in
         let partition = Cluster.partition r.cluster in
         let victim = ref (-1) and victim_ranges = ref [] in
-        let crash_at = ref None and restart_at = ref None in
-        let first_ack = Hashtbl.create 8 in
-        let elected_at = ref None and caught_up_at = ref None in
+        let crash_at = ref None and restart_at = ref None and caught_up_at = ref None in
+        (* per range the victim led: when a new leader opened, and when that
+           leader first acknowledged a write *)
+        let elected = Hashtbl.create 8 and first_ack = Hashtbl.create 8 in
         let catchup_target = ref [] in
-        let after t0 f =
-          match !t0 with Some t when T.(Sim.Engine.now r.engine > t) -> f () | _ -> ()
+        let all_ranges tbl = List.for_all (Hashtbl.mem tbl) !victim_ranges in
+        (* The largest per-range span from [a] to [b], in ms; None until
+           every range has both instants. *)
+        let max_span a b =
+          List.fold_left
+            (fun acc range ->
+              match (acc, a range, Hashtbl.find_opt b range) with
+              | Some m, Some a, Some b -> Some (Float.max m (T.to_ms_f (T.diff b a)))
+              | _ -> None)
+            (Some 0.0) !victim_ranges
         in
-        let span_ms a b =
-          match (a, b) with Some a, Some b -> T.to_ms_f (T.diff b a) | _ -> 0.0
-        in
-        let unavail_end () =
-          if !victim_ranges = [] then None
-          else
-            List.fold_left
-              (fun acc range ->
-                match (acc, Hashtbl.find_opt first_ack range) with
-                | Some a, Some t -> Some (T.max a t)
-                | _ -> None)
-              (Some T.zero) !victim_ranges
-        in
+        let since_crash _ = !crash_at in
         let poll () =
-          if !elected_at = None then
-            after crash_at (fun () ->
-                if
-                  List.for_all
-                    (fun range ->
-                      match Cluster.leader_of r.cluster ~range with
-                      | Some l -> l <> !victim
-                      | None -> false)
-                    !victim_ranges
-                then elected_at := Some (Sim.Engine.now r.engine));
-          if !caught_up_at = None then
-            after restart_at (fun () ->
-                let node = Cluster.node r.cluster !victim in
-                if
-                  List.for_all
-                    (fun (range, target) ->
-                      match Node.cohort node ~range with
-                      | Some c -> (
-                        match Cohort.role c with
-                        | Cohort.Follower | Cohort.Leader -> Storage.Lsn.(Cohort.lst c >= target)
-                        | Cohort.Offline | Cohort.Candidate -> false)
-                      | None -> false)
-                    !catchup_target
-                then caught_up_at := Some (Sim.Engine.now r.engine))
+          let now = Sim.Engine.now r.engine in
+          if !crash_at <> None && not (all_ranges elected) then begin
+            List.iter
+              (fun range ->
+                if not (Hashtbl.mem elected range) then
+                  match Cluster.leader_of r.cluster ~range with
+                  | Some l when l <> !victim -> Hashtbl.add elected range now
+                  | _ -> ())
+              !victim_ranges;
+            if all_ranges elected then r.fine <- false
+          end;
+          if !restart_at <> None && !caught_up_at = None then begin
+            let node = Cluster.node r.cluster !victim in
+            if
+              List.for_all
+                (fun (range, target) ->
+                  match Node.cohort node ~range with
+                  | Some c -> (
+                    match Cohort.role c with
+                    | Cohort.Follower | Cohort.Leader -> Storage.Lsn.(Cohort.lst c >= target)
+                    | Cohort.Offline | Cohort.Candidate -> false)
+                  | None -> false)
+                !catchup_target
+            then begin
+              caught_up_at := Some now;
+              r.fine <- false
+            end
+          end
         in
         {
           preload = ignore;
@@ -651,11 +687,12 @@ let failover_spec =
                     let key = Workload.Generator.next_key gen in
                     if Sim.Rng.float rng 1.0 < 0.6 then
                       put ledger client key (fun ~read ok ->
-                          if ok then
-                            after crash_at (fun () ->
-                                let range = Partition.route partition key in
-                                if not (Hashtbl.mem first_ack range) then
-                                  Hashtbl.add first_ack range (Sim.Engine.now r.engine));
+                          let range = Partition.route partition key in
+                          (* [elected] holds [range] only once its new leader
+                             opened, so a reply the crashed leader sent
+                             before it died is not counted. *)
+                          if ok && Hashtbl.mem elected range && not (Hashtbl.mem first_ack range)
+                          then Hashtbl.add first_ack range (Sim.Engine.now r.engine);
                           k ~read ok)
                     else begin
                       note_key r key;
@@ -677,6 +714,7 @@ let failover_spec =
                       (fun range -> Cluster.leader_of r.cluster ~range = Some v)
                       (Partition.range_ids partition);
                   crash_at := Some (Sim.Engine.now r.engine);
+                  r.fine <- true;
                   Cluster.crash_node r.cluster v );
               ( sec 8,
                 fun () ->
@@ -695,6 +733,7 @@ let failover_spec =
                         (range, target))
                       (Node.ranges node);
                   restart_at := Some (Sim.Engine.now r.engine);
+                  r.fine <- true;
                   Cluster.restart_node r.cluster !victim );
             ];
           poll;
@@ -703,7 +742,9 @@ let failover_spec =
               let failures = ref [] in
               if not (settle r ~poll ~limit:(sec 30) (fun () -> !caught_up_at <> None))
               then failures := [ "the restarted node never caught up" ];
-              if unavail_end () = None then
+              if not (all_ranges elected) then
+                failures := "a range the crashed leader led never elected a leader" :: !failures;
+              if not (all_ranges first_ack) then
                 failures :=
                   "a range the crashed leader led never acknowledged a write" :: !failures;
               let keys = Hashtbl.fold (fun k _ acc -> k :: acc) ledger.keys [] in
@@ -711,13 +752,15 @@ let failover_spec =
               !failures @ read_back r ledger keys);
           extra =
             (fun () ->
-              let unavail = span_ms !crash_at (unavail_end ()) in
-              let election = span_ms !crash_at !elected_at in
+              let or0 = Option.value ~default:0.0 in
               [
-                ("unavail_ms", unavail);
-                ("election.ms", election);
-                ("takeover.ms", Float.max 0.0 (unavail -. election));
-                ("catchup.ms", span_ms !restart_at !caught_up_at);
+                ("unavail_ms", or0 (max_span since_crash first_ack));
+                ("election.ms", or0 (max_span since_crash elected));
+                ("takeover.ms", or0 (max_span (Hashtbl.find_opt elected) first_ack));
+                ( "catchup.ms",
+                  match (!restart_at, !caught_up_at) with
+                  | Some a, Some b -> T.to_ms_f (T.diff b a)
+                  | _ -> 0.0 );
               ]);
         });
   }
@@ -880,6 +923,8 @@ let setup spec ~seed ~traced ~slice =
       digest = Buffer.create 65536;
       replay = [];
       replay_n = 0;
+      fine = false;
+      markers = 0;
       pending_sum = 0.0;
       pending_n = 0;
       leaders = Array.make (Partition.ranges (Cluster.partition cluster)) None;
@@ -892,19 +937,9 @@ let setup spec ~seed ~traced ~slice =
   Array.iteri (fun range _ -> r.leaders.(range) <- Cluster.leader_of cluster ~range) r.leaders;
   (config, r, d)
 
-let median xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  let n = Array.length a in
-  if n = 0 then 0.0 else if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
-
-(* One measured run. Returns the set-up time and the result rendered as JSON
-   once the set-up time to report is known (see [setup_time]); the renderer
-   holds only numbers and strings, so the run's cluster is garbage after. *)
+(* One measured run, rendered as JSON. *)
 let execute name spec ~seed ~traced ~slice =
-  let t0 = now_ns () in
   let config, r, d = setup spec ~seed ~traced ~slice in
-  let first_setup_s = elapsed_ns t0 /. 1e9 in
   let engine = r.engine and cluster = r.cluster in
   let trace = Cluster.trace cluster in
   (* The measured run: the window plus the drain of in-flight requests. *)
@@ -916,7 +951,7 @@ let execute name spec ~seed ~traced ~slice =
   in
   let path0 = Cluster.read_path_stats cluster and serve0 = Cluster.read_serve_stats cluster in
   let msgs0 = Sim.Network.messages_delivered net and bytes0 = Sim.Network.bytes_sent net in
-  let forces0 = forces () and events0 = Sim.Engine.events_run engine in
+  let forces0 = forces () and events0 = Sim.Engine.events_run engine - r.markers in
   Sim.Trace.enable trace traced;
   Gc.compact ();
   let gc0 = Gc.quick_stat () in
@@ -935,7 +970,7 @@ let execute name spec ~seed ~traced ~slice =
   let run_wall = elapsed_ns t_run in
   let gc1 = Gc.quick_stat () in
   let sim_s = T.to_sec_f (T.diff (Sim.Engine.now engine) start) in
-  let events = Sim.Engine.events_run engine - events0 in
+  let events = Sim.Engine.events_run engine - r.markers - events0 in
   let path1 = Cluster.read_path_stats cluster and serve1 = Cluster.read_serve_stats cluster in
   let msgs = Sim.Network.messages_delivered net - msgs0 in
   let bytes = Sim.Network.bytes_sent net - bytes0 in
@@ -1033,9 +1068,8 @@ let execute name spec ~seed ~traced ~slice =
   in
   let store_get_ns = store_get_ns r in
   let key_stream = Digest.to_hex (Digest.string (Buffer.contents r.digest)) in
-  let cost setup_s =
+  let cost =
     [
-      ("setup_s", setup_s);
       ("sim_s_per_wall_s", sim_s /. (run_wall /. 1e9));
       ("peak_heap_mb", float_of_int (gc1.Gc.top_heap_words * (Sys.word_size / 8)) /. 1048576.0);
       ("engine.wall_ns_per_event", ratio run_wall (float_of_int events));
@@ -1058,41 +1092,69 @@ let execute name spec ~seed ~traced ~slice =
          :: m)
         @ [ ("client.issue_wall_ns", ratio r.call_ns (float_of_int r.calls)) ])
   in
-  let render setup_s =
-    json_obj
+  json_obj
       [
         ("workload", json_str name);
         ("seed", string_of_int seed);
         ("key_stream", json_str key_stream);
         ("sim", obj sim);
         ("counts", obj counts);
-        ("cost", obj (cost setup_s));
+        ("cost", obj cost);
         ("traced", traced_json);
         ("failures", "[" ^ String.concat ", " (List.map json_str failures) ^ "]");
       ]
-  in
-  (first_setup_s, render)
 
-(* A cheap set-up is timed again once the measured run is garbage and the
-   heap compacted (until a fifth of a second has gone into set-up, at most
-   100 times in all), and the median reported. Each timing starts from a
-   fully collected heap: otherwise the garbage of the set-ups before it
-   decides how much major-GC work lands inside it, which doubled the
-   median from one process to the next. *)
-let setup_time spec ~seed ~traced ~slice first =
-  Gc.compact ();
-  let times = ref [ first ] in
-  while List.length !times < 100 && List.fold_left ( +. ) 0.0 !times < 0.2 do
-    Gc.full_major ();
-    let t0 = now_ns () in
-    ignore (setup spec ~seed ~traced ~slice);
-    times := (elapsed_ns t0 /. 1e9) :: !times
+(* A fixed piece of standard-library work (hash table, map and list sort;
+   no library code, so no change to the library can speed it up) that takes
+   [reference_nominal_s] on the machine the benchmark was calibrated on. *)
+module Int_map = Map.Make (Int)
+
+let reference () =
+  let h = Hashtbl.create 16 and m = ref Int_map.empty in
+  for i = 0 to 6000 do
+    Hashtbl.replace h (i * 7919 land 65535) (string_of_int i);
+    m := Int_map.add (i * 104729 land 1048575) [ i; i + 1 ] !m
   done;
-  median !times
+  ignore (List.sort compare (List.init 8000 (fun i -> i * 31337 land 65535)));
+  ignore (Sys.opaque_identity (h, !m))
+
+let reference_nominal_s = 0.004
+
+(* Wall seconds of [f ()], started from a fully collected heap so that the
+   garbage of the work before does not decide how much major-GC work lands
+   inside it. *)
+let timed f =
+  Gc.full_major ();
+  let t0 = now_ns () in
+  f ();
+  elapsed_ns t0 /. 1e9
+
+(* Set-up timing: untraced set-ups back to back until [budget_ms] of wall
+   time has passed (at least one), each bracketed by two timings of
+   [reference]. The host this was written on switches between speeds up to
+   1.8x apart every few seconds; set-up time divided by the mean of its two
+   reference times stayed within a few percent through those switches, so
+   each set-up is reported normalised, as its time in seconds at the
+   reference speed, beside its raw wall time. *)
+let probe_setup spec ~seed ~slice budget_ms =
+  let budget = float_of_int budget_ms *. 1e6 in
+  let start = now_ns () in
+  let raw = ref [] and normalised = ref [] in
+  let before = ref (timed reference) in
+  while !raw = [] || elapsed_ns start < budget do
+    let s = timed (fun () -> ignore (setup spec ~seed ~traced:false ~slice)) in
+    let after = timed reference in
+    raw := s :: !raw;
+    normalised := (s /. ((!before +. after) /. 2.0) *. reference_nominal_s) :: !normalised;
+    before := after
+  done;
+  let list xs = "[" ^ String.concat ", " (List.rev_map json_num xs) ^ "]" in
+  json_obj [ ("setup_s", list !normalised); ("setup_wall_s", list !raw) ]
 
 let () =
-  let usage = "perfbench.exe WORKLOAD --seed N [--trace] [--slice-ms MS]" in
+  let usage = "perfbench.exe WORKLOAD --seed N [--trace] [--slice-ms MS] [--setup-probe MS]" in
   let workload = ref None and seed = ref None and traced = ref false and slice = ref 1 in
+  let probe = ref None in
   let rec parse = function
     | [] -> ()
     | "--seed" :: n :: rest ->
@@ -1103,6 +1165,9 @@ let () =
       parse rest
     | "--slice-ms" :: n :: rest ->
       slice := Option.value (int_of_string_opt n) ~default:0;
+      parse rest
+    | "--setup-probe" :: n :: rest ->
+      probe := Some (Option.value (int_of_string_opt n) ~default:0);
       parse rest
     | w :: rest when !workload = None && List.mem_assoc w specs ->
       workload := Some w;
@@ -1115,8 +1180,10 @@ let () =
   match (!workload, !seed) with
   | Some w, Some seed when !slice > 0 ->
     let spec = List.assoc w specs and traced = !traced and slice = ms !slice in
-    let first, render = execute w spec ~seed ~traced ~slice in
-    print_endline (render (setup_time spec ~seed ~traced ~slice first))
+    print_endline
+      (match !probe with
+      | Some budget_ms -> probe_setup spec ~seed ~slice budget_ms
+      | None -> execute w spec ~seed ~traced ~slice)
   | _ ->
     prerr_endline ("usage: " ^ usage);
     exit 2

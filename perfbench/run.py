@@ -5,15 +5,16 @@
 
 Run from the root of a checkout. Builds perfbench.exe from source with dune,
 then repeats one workload (put, read, txn or failover; see README.md) for
-about S wall-clock seconds, at least MIN_REPEATS times. Simulated-time
-results must agree exactly between repeats; wall-clock costs are reported as
-medians over the repeats.
+about S wall-clock seconds. Simulated-time results must agree exactly
+between repeats; wall-clock costs are reported as medians.
 
 With --trace 0 the last line of standard output is a JSON object holding the
-end-to-end metrics; with --trace 1 it holds the per-layer metrics, taken
-from traced repeats interleaved with untraced ones. Earlier lines are a
-human-readable report. The exit code is 0 only when the build succeeded and
-every output check passed.
+end-to-end metrics: two repeats, and set-up probes filling the rest of the
+time, one wall-clock second each, whose pooled set-up times (normalised to a
+reference speed, see perfbench.ml) give the median setup_s. With --trace 1
+it holds the per-layer metrics, taken from traced repeats interleaved with
+untraced ones. Earlier lines are a human-readable report. The exit code is 0
+only when the build succeeded and every output check passed.
 """
 
 import argparse
@@ -34,7 +35,7 @@ END_TO_END = {
     "latency_p50_ms": ("ms", "sim"),
     "latency_p99_ms": ("ms", "sim"),
     "latency_p999_ms": ("ms", "sim"),
-    "setup_s": ("s", "cost"),
+    "setup_s": ("s", "setup"),
     "peak_heap_mb": ("MiB", "cost"),
 }
 
@@ -104,7 +105,9 @@ SAMPLES = {
     "write_latency_p99_ms": "write_latency.samples",
 }
 
-MIN_REPEATS = {False: 3, True: 1}
+# Untraced repeats in a --trace 0 run; enough to check that they agree.
+PLAIN_REPEATS = 2
+PROBE_MS = 1000
 
 
 def fail(msg):
@@ -125,6 +128,7 @@ def build():
 
 
 def repeat(workload, seed, traced, extra=()):
+    """One run of perfbench.exe; returns its JSON output."""
     cmd = [EXE, workload, "--seed", str(seed)] + (["--trace"] if traced else []) + list(extra)
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=REPEAT_TIMEOUT_S)
@@ -140,20 +144,36 @@ def repeat(workload, seed, traced, extra=()):
 
 
 def run_repeats(workload, seed, seconds, trace):
-    """Repeat until the next repeat would overrun the time budget. With
-    trace, untraced and traced repeats alternate, untraced first."""
+    """Run until the next step would overrun the time budget. With trace,
+    untraced and traced repeats alternate, untraced first. Without, the
+    steps are: repeat, probe, repeat, then probes (set-up times pooled)."""
     deadline = time.monotonic() + seconds
-    plain, traced = [], []
+    done = {"plain": [], "traced": [], "probe": []}
     took = {}
+
+    def upcoming():
+        if trace:
+            return "traced" if len(done["traced"]) < len(done["plain"]) else "plain"
+        if len(done["plain"]) < PLAIN_REPEATS and len(done["plain"]) <= len(done["probe"]):
+            return "plain"
+        return "probe"
+
     while True:
-        want = trace and len(traced) < len(plain)
+        step = upcoming()
         t0 = time.monotonic()
-        (traced if want else plain).append(repeat(workload, seed, want))
-        took[want] = max(took.get(want, 0.0), time.monotonic() - t0)
-        enough = len(plain) >= MIN_REPEATS[trace] and (len(traced) >= 1 or not trace)
-        upcoming = trace and len(traced) < len(plain)
-        if enough and time.monotonic() + took.get(upcoming, took[want]) > deadline:
-            return plain, traced
+        if step == "probe":
+            out = repeat(workload, seed, False, extra=("--setup-probe", str(PROBE_MS)))
+        else:
+            out = repeat(workload, seed, step == "traced")
+        done[step].append(out)
+        took[step] = max(took.get(step, 0.0), time.monotonic() - t0)
+        if trace:
+            enough = len(done["plain"]) >= 1 and len(done["traced"]) >= 1
+        else:
+            enough = len(done["plain"]) >= PLAIN_REPEATS and len(done["probe"]) >= 1
+        nxt = upcoming()
+        if enough and time.monotonic() + took.get(nxt, took[step]) > deadline:
+            return done["plain"], done["traced"], done["probe"]
 
 
 def check(plain, traced):
@@ -176,10 +196,16 @@ def median_of(outs, section, name):
     return statistics.median(out[section][name] for out in outs)
 
 
-def collect(plain, traced, names):
+def pooled(probes, name):
+    return [t for out in probes for t in out[name]]
+
+
+def collect(plain, traced, probes, names):
     values = {}
     for name, (unit, section) in names.items():
-        if section in ("sim", "counts"):
+        if section == "setup":
+            value = statistics.median(pooled(probes, "setup_s"))
+        elif section in ("sim", "counts"):
             value = plain[0][section][name]
         elif section == "cost":
             value = median_of(plain, "cost", name)
@@ -203,17 +229,21 @@ def main():
 
     build()
     trace = args.trace == 1
-    plain, traced = run_repeats(args.workload, args.seed, args.seconds, trace)
+    plain, traced, probes = run_repeats(args.workload, args.seed, args.seconds, trace)
     failures = check(plain, traced)
-    metrics = collect(plain, traced, PER_LAYER if trace else END_TO_END)
+    metrics = collect(plain, traced, probes, PER_LAYER if trace else END_TO_END)
     sim = plain[0]["sim"]
 
     print(f"workload {args.workload}  seed {args.seed}  "
-          f"repeats {len(plain)} untraced + {len(traced)} traced")
+          f"repeats {len(plain)} untraced + {len(traced)} traced  "
+          f"set-ups timed {len(pooled(probes, 'setup_s'))}")
     for name, m in metrics.items():
         samples = SAMPLES.get(name)
         note = f"  ({int(sim[samples])} samples)" if samples else ""
         print(f"  {name:38s} {m['value']:14.6g} {m['unit']}{note}")
+    if probes:
+        raw = statistics.median(pooled(probes, "setup_wall_s"))
+        print(f"  {'(setup, raw wall time)':38s} {raw:14.6g} s")
     for f in failures:
         print(f"  CHECK FAILED: {f}")
     result = {
