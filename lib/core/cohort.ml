@@ -4,6 +4,7 @@ module Wal = Storage.Wal
 module Log_record = Storage.Log_record
 module Row = Storage.Row
 module Skipped_lsns = Storage.Skipped_lsns
+module Int_map = Map.Make (Int)
 
 type role = Offline | Candidate | Leader | Follower
 
@@ -137,8 +138,9 @@ type t = {
       (** highest LSN of each outstanding Propose batch; a batch retires
           when cmt reaches it *)
   mutable commit_timer_armed : bool;
-  dedup : (int * int, dedup_state) Hashtbl.t;
-      (** (client, request id) -> write outcome, for duplicate suppression *)
+  dedup : (int, dedup_state Int_map.t) Hashtbl.t;
+      (** client -> request id -> write outcome, for duplicate suppression;
+          at most [dedup_window] ids per client *)
   mutable migration : migration option;  (** leader-side migration in flight *)
   mutable splitting : bool;  (** a range split is being logged; writes block *)
   (* follower state *)
@@ -270,7 +272,7 @@ let cmt t = t.cmt
 let lst t = t.lst
 let is_open t = t.role = Leader && t.open_for_writes
 let pending_writes t = Commit_queue.length t.queue
-let reply_cache_size t = Hashtbl.length t.dedup
+let reply_cache_size t = Hashtbl.fold (fun _ ids n -> n + Int_map.cardinal ids) t.dedup 0
 let store t = t.ctx.store
 let is_learner t = t.learner
 let migrating t = Option.is_some t.migration
@@ -360,24 +362,49 @@ let trigger_resync : (t -> unit) ref = ref (fun _ -> ())
 (* Duplicate suppression: retried writes must be acked idempotently.    *)
 
 (* Request ids are per-client monotonic and retries only ever target recent
-   ids, so a sliding window per client bounds the cache. *)
+   ids, so the cache keeps, per client, only the ids within [dedup_window] of
+   the newest it holds. A cohort sees only the ids of the writes routed to its
+   range, so the window is cut by id, not by evicting one fixed id. *)
 let dedup_window = 128
+
+let dedup_find t ~client ~request_id =
+  match Hashtbl.find_opt t.dedup client with
+  | Some ids -> Int_map.find_opt request_id ids
+  | None -> None
+
+let dedup_set t ~client ~request_id state =
+  let ids =
+    Int_map.add request_id state
+      (Option.value (Hashtbl.find_opt t.dedup client) ~default:Int_map.empty)
+  in
+  let newest, _ = Int_map.max_binding ids and oldest, _ = Int_map.min_binding ids in
+  let ids =
+    if oldest > newest - dedup_window then ids
+    else
+      let _, _, window = Int_map.split (newest - dedup_window) ids in
+      window
+  in
+  Hashtbl.replace t.dedup client ids
 
 let cache_outcome t origin reply =
   match origin with
   | None -> ()
-  | Some (client, request_id) ->
-    Hashtbl.replace t.dedup (client, request_id) (Done reply);
-    Hashtbl.remove t.dedup (client, request_id - dedup_window)
+  | Some (client, request_id) -> dedup_set t ~client ~request_id (Done reply)
 
 let reply_write t ~client ~request_id reply =
   cache_outcome t (Some (client, request_id)) reply;
   t.ctx.reply ~client ~request_id reply
 
 let clear_in_flight t ~client ~request_id =
-  match Hashtbl.find_opt t.dedup (client, request_id) with
-  | Some In_flight -> Hashtbl.remove t.dedup (client, request_id)
-  | _ -> ()
+  match Hashtbl.find_opt t.dedup client with
+  | Some ids -> (
+    match Int_map.find_opt request_id ids with
+    | Some In_flight ->
+      let ids = Int_map.remove request_id ids in
+      if Int_map.is_empty ids then Hashtbl.remove t.dedup client
+      else Hashtbl.replace t.dedup client ids
+    | _ -> ())
+  | None -> ()
 
 (* The settled-outcome reply for a committed record: a 2PC decision answers
    with the outcome it recorded (a client retrying its decide after a
@@ -748,7 +775,7 @@ and handle_write t ~client ~request_id op =
   if t.role <> Leader then
     t.ctx.reply ~client ~request_id (Message.Not_leader { hint = t.leader })
   else begin
-    match Hashtbl.find_opt t.dedup (client, request_id) with
+    match dedup_find t ~client ~request_id with
     | Some (Done reply) ->
       (* A retry of a write that already settled (its reply was lost, or the
          retry raced the reply): resend the original outcome verbatim rather
@@ -759,7 +786,7 @@ and handle_write t ~client ~request_id op =
          or the client's next retry once this one settles — answers. *)
       ()
     | None ->
-      Hashtbl.replace t.dedup (client, request_id) In_flight;
+      dedup_set t ~client ~request_id In_flight;
       enqueue_write t ~client ~request_id op
   end
 
@@ -2192,7 +2219,9 @@ let start_takeover t =
   List.iter
     (fun (e : Commit_queue.entry) ->
       match e.Commit_queue.origin with
-      | Some key -> if not (Hashtbl.mem t.dedup key) then Hashtbl.replace t.dedup key In_flight
+      | Some (client, request_id) ->
+        if Option.is_none (dedup_find t ~client ~request_id) then
+          dedup_set t ~client ~request_id In_flight
       | None -> ())
     (Commit_queue.to_list t.queue);
   (* Ask each follower for its last committed LSN (Figure 6 lines 3-4). *)

@@ -84,6 +84,10 @@ val pending_writes : t -> int
 val reply_cache_size : t -> int
 (** Entries in the duplicate-suppression reply cache. *)
 
+val dedup_window : int
+(** Request ids the reply cache keeps per client: those within this distance
+    of the client's newest id it holds. *)
+
 val store : t -> Storage.Store.t
 (** The replica's storage engine (gauge registration and inspection). *)
 

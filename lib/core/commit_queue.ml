@@ -23,23 +23,30 @@ end)
    exactly; semantics are unchanged, only the walks are memoized. *)
 type t = {
   mutable entries : entry Lsn_map.t;
-  mutable unforced : entry Lsn_map.t;
-      (* the [forced = false] subset: a force-upto visits each entry once
-         over its lifetime instead of rescanning the already-forced prefix *)
+  mutable forced_mark : Storage.Lsn.t;
+      (* every queued entry at or below this LSN is forced: a force-upto walks
+         only (mark, upto], so each entry is visited once over its lifetime *)
+  mutable frontier : Storage.Lsn.t option;
+      (* a queued LSN such that every entry from the map's first binding
+         through it is seq-contiguous and forced; [contiguous_forced_upto]
+         resumes its walk here instead of starting over at the first binding *)
   versions : (Storage.Row.coord, (Storage.Lsn.t * int) list) Hashtbl.t;
       (* coord -> pending (lsn, version), newest LSN first — the overlay the
          leader consults when assigning the next version *)
   acked_upto : (int, Storage.Lsn.t) Hashtbl.t;
       (* follower -> highest LSN whose cumulative ack has been APPLIED to
          entry ack lists; the next ack walks only (applied, upto] *)
+  mutable max_acked : Storage.Lsn.t;  (* the largest value in [acked_upto] *)
 }
 
 let create () =
   {
     entries = Lsn_map.empty;
-    unforced = Lsn_map.empty;
+    forced_mark = Storage.Lsn.zero;
+    frontier = None;
     versions = Hashtbl.create 64;
     acked_upto = Hashtbl.create 8;
+    max_acked = Storage.Lsn.zero;
   }
 
 let rec iter_writes f = function
@@ -83,28 +90,39 @@ let index_remove t (e : entry) =
         | l -> Hashtbl.replace t.versions coord l))
     e.op
 
-(* Every removal funnels through here so the indexes never drift. *)
+(* Every removal funnels through here so the indexes never drift. Removals
+   take a prefix (pops) or a suffix ([drop_above]) of the map, so a frontier
+   survives unless it is itself removed. *)
 let remove_entry t (e : entry) =
   t.entries <- Lsn_map.remove e.lsn t.entries;
-  if not e.forced then t.unforced <- Lsn_map.remove e.lsn t.unforced;
+  (match t.frontier with
+  | Some f when Storage.Lsn.(e.lsn >= f) -> t.frontier <- None
+  | _ -> ());
   index_remove t e
 
 let add t ~lsn ~op ~timestamp ?origin ?reply () =
   let entry = { lsn; op; timestamp; origin; forced = false; ackers = []; reply } in
   t.entries <- Lsn_map.add lsn entry t.entries;
-  t.unforced <- Lsn_map.add lsn entry t.unforced;
   index_add t lsn op;
+  (* An unforced entry at or below the mark, or inside the contiguous forced
+     chain, breaks what those summaries promise: start them over. That needs
+     an older LSN to come back, as in a takeover rebuild. *)
+  if Storage.Lsn.(lsn <= t.forced_mark) then t.forced_mark <- Storage.Lsn.zero;
+  (match t.frontier with
+  | Some f when Storage.Lsn.(lsn <= f) -> t.frontier <- None
+  | _ -> ());
   (* A takeover rebuild can re-introduce an LSN at or below a follower's
      applied-ack point (the previous incarnation was acked, then dropped on
      leader change). Acks must be earned by the current incarnation: rewind
      that follower's applied point so its next cumulative ack re-walks the
      range — re-marking already-acked entries is idempotent. *)
-  let rewind =
-    Hashtbl.fold
-      (fun from applied acc -> if Storage.Lsn.(lsn <= applied) then from :: acc else acc)
-      t.acked_upto []
-  in
-  List.iter (fun from -> Hashtbl.replace t.acked_upto from Storage.Lsn.zero) rewind
+  if Storage.Lsn.(lsn <= t.max_acked) then begin
+    Hashtbl.filter_map_inplace
+      (fun _ applied -> Some (if Storage.Lsn.(lsn <= applied) then Storage.Lsn.zero else applied))
+      t.acked_upto;
+    t.max_acked <-
+      Hashtbl.fold (fun _ applied acc -> Storage.Lsn.max applied acc) t.acked_upto Storage.Lsn.zero
+  end
 
 let mem t lsn = Lsn_map.mem lsn t.entries
 let is_empty t = Lsn_map.is_empty t.entries
@@ -113,24 +131,20 @@ let min_lsn t = Option.map fst (Lsn_map.min_binding_opt t.entries)
 let max_lsn t = Option.map fst (Lsn_map.max_binding_opt t.entries)
 
 let mark_forced_upto t upto =
-  let rec go () =
-    match Lsn_map.min_binding_opt t.unforced with
-    | Some (lsn, e) when Storage.Lsn.(lsn <= upto) ->
-      e.forced <- true;
-      t.unforced <- Lsn_map.remove lsn t.unforced;
-      go ()
-    | _ -> ()
-  in
-  go ()
+  if Storage.Lsn.(upto > t.forced_mark) then begin
+    let rec go seq =
+      match seq () with
+      | Seq.Cons ((lsn, e), rest) when Storage.Lsn.(lsn <= upto) ->
+        e.forced <- true;
+        go rest
+      | _ -> ()
+    in
+    go (Lsn_map.to_seq_from t.forced_mark t.entries);
+    t.forced_mark <- upto
+  end
 
 let mark_forced t lsn =
-  match Lsn_map.find_opt lsn t.entries with
-  | Some e ->
-    if not e.forced then begin
-      e.forced <- true;
-      t.unforced <- Lsn_map.remove lsn t.unforced
-    end
-  | None -> ()
+  match Lsn_map.find_opt lsn t.entries with Some e -> e.forced <- true | None -> ()
 
 let origin_at t lsn =
   match Lsn_map.find_opt lsn t.entries with Some e -> e.origin | None -> None
@@ -152,7 +166,8 @@ let add_ack t ~from ~upto =
     go
       (Lsn_map.to_seq_from applied t.entries
       |> Seq.drop_while (fun (l, _) -> Storage.Lsn.(l <= applied)));
-    Hashtbl.replace t.acked_upto from upto
+    Hashtbl.replace t.acked_upto from upto;
+    t.max_acked <- Storage.Lsn.max t.max_acked upto
   end
 
 let pop_committable t ~acks_needed =
@@ -191,16 +206,26 @@ let pop_contiguous t ~from ~upto =
   go from.Storage.Lsn.seq []
 
 (* The chain must start at the map's first binding — a stranded entry at or
-   below [from] honestly blocks acking, as before; the lazy sequence just
-   avoids materializing the whole map to find the (usually short) chain. *)
+   below [from] honestly blocks acking, as before. The walk resumes at the
+   frontier, so over the queue's lifetime each entry joins the chain once. *)
 let contiguous_forced_upto t ~from =
-  let rec go prev_seq best seq =
-    match seq () with
-    | Seq.Cons ((lsn, e), rest) when lsn.Storage.Lsn.seq = prev_seq + 1 && e.forced ->
-      go lsn.Storage.Lsn.seq (Some lsn) rest
-    | _ -> best
-  in
-  go from.Storage.Lsn.seq None (Lsn_map.to_seq t.entries)
+  match Lsn_map.min_binding_opt t.entries with
+  | Some (first, head) when first.Storage.Lsn.seq = from.Storage.Lsn.seq + 1 -> (
+    let rec extend prev seq =
+      match seq () with
+      | Seq.Cons ((lsn, e), rest)
+        when lsn.Storage.Lsn.seq = prev.Storage.Lsn.seq + 1 && e.forced ->
+        extend lsn rest
+      | _ -> prev
+    in
+    match t.frontier with
+    | None when not head.forced -> None
+    | frontier ->
+      let start = Option.value frontier ~default:first in
+      let f = extend start (Lsn_map.to_seq_from (Storage.Lsn.next start) t.entries) in
+      t.frontier <- Some f;
+      Some f)
+  | _ -> None
 
 let drop_above t lsn =
   let dropped =

@@ -161,6 +161,149 @@ let prop_queue_commits_exactly_once =
       let second = Commit_queue.pop_committable q ~acks_needed:1 in
       List.length first = n && second = [] && Commit_queue.is_empty q)
 
+(* Model-based check: a queue driven by a random program must agree with a
+   naive LSN-sorted list on every pop, every entry's forced flag and ackers,
+   and on [contiguous_forced_upto], which the model answers by walking the
+   whole list from its head. LSNs span two epochs so that re-adds below
+   existing entries (the takeover rebuild) and below an ack point occur. *)
+type queue_op =
+  | QAdd of Lsn.t
+  | QForced of Lsn.t
+  | QForcedUpto of Lsn.t
+  | QAck of int * Lsn.t
+  | QCommittable of int
+  | QContiguous of int * Lsn.t
+  | QUpto of Lsn.t
+  | QDropAbove of Lsn.t
+  | QFrontier of int
+
+let arb_queue_ops =
+  let lsn_gen = QCheck.Gen.(map2 (fun e s -> lsn e s) (int_range 1 2) (int_range 1 24)) in
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (8, map (fun l -> QAdd l) lsn_gen);
+          (3, map (fun l -> QForced l) lsn_gen);
+          (2, map (fun l -> QForcedUpto l) lsn_gen);
+          (3, map2 (fun f l -> QAck (f, l)) (int_range 1 2) lsn_gen);
+          (1, map (fun k -> QCommittable k) (int_range 1 2));
+          (1, map2 (fun d l -> QContiguous (d, l)) (int_range (-1) 1) lsn_gen);
+          (1, map (fun l -> QUpto l) lsn_gen);
+          (1, map (fun l -> QDropAbove l) lsn_gen);
+          (2, map (fun d -> QFrontier d) (int_range (-1) 1));
+        ])
+  in
+  let show = Lsn.to_string in
+  QCheck.make
+    ~print:(fun l ->
+      String.concat ";"
+        (List.map
+           (function
+             | QAdd l -> "add " ^ show l
+             | QForced l -> "forced " ^ show l
+             | QForcedUpto l -> "forced_upto " ^ show l
+             | QAck (f, l) -> Printf.sprintf "ack %d %s" f (show l)
+             | QCommittable k -> Printf.sprintf "committable %d" k
+             | QContiguous (d, l) -> Printf.sprintf "contiguous %+d %s" d (show l)
+             | QUpto l -> "upto " ^ show l
+             | QDropAbove l -> "drop_above " ^ show l
+             | QFrontier d -> Printf.sprintf "frontier %+d" d)
+           l))
+    QCheck.Gen.(list_size (int_range 1 300) op_gen)
+
+type model_entry = { m_lsn : Lsn.t; m_forced : bool; m_ackers : int list }
+
+let prop_queue_matches_model =
+  QCheck.Test.make ~name:"commit queue: model equivalence (pops, forced, acks, frontier)"
+    ~count:300 arb_queue_ops (fun ops ->
+      let q = Commit_queue.create () in
+      (* LSN-sorted, with the model's own view of each entry *)
+      let model = ref [] in
+      let update p f = model := List.map (fun e -> if p e then f e else e) !model in
+      let take p =
+        let rec go acc = function
+          | e :: rest when p acc e -> go (e :: acc) rest
+          | rest ->
+            model := rest;
+            List.rev acc
+        in
+        go [] !model
+      in
+      (* [from] just below the head's seq, shifted by [d]: the chain walks
+         start at the head, so this is where they have something to find *)
+      let from_near d =
+        match !model with
+        | e :: _ -> lsn 0 (e.m_lsn.Lsn.seq - 1 + d)
+        | [] -> lsn 0 (d + 1)
+      in
+      let chain_from from =
+        let rec go prev best = function
+          | e :: rest when e.m_lsn.Lsn.seq = prev + 1 && e.m_forced ->
+            go e.m_lsn.Lsn.seq (Some e.m_lsn) rest
+          | _ -> best
+        in
+        go from.Lsn.seq None !model
+      in
+      let lsns l = List.map (fun (e : Commit_queue.entry) -> e.lsn) l in
+      let same_pop got want = List.equal Lsn.equal (lsns got) (List.map (fun e -> e.m_lsn) want) in
+      let frontier_agrees d =
+        let from = from_near d in
+        Option.equal Lsn.equal (Commit_queue.contiguous_forced_upto q ~from) (chain_from from)
+      in
+      let step = function
+        | QAdd l ->
+          (* The cohort adds an LSN only when it is not already queued. *)
+          if not (Commit_queue.mem q l) then begin
+            add q ~l ();
+            let e = { m_lsn = l; m_forced = false; m_ackers = [] } in
+            let below, above = List.partition (fun e -> Lsn.(e.m_lsn < l)) !model in
+            model := below @ (e :: above)
+          end;
+          true
+        | QForced l ->
+          Commit_queue.mark_forced q l;
+          update (fun e -> Lsn.equal e.m_lsn l) (fun e -> { e with m_forced = true });
+          true
+        | QForcedUpto l ->
+          Commit_queue.mark_forced_upto q l;
+          update (fun e -> Lsn.(e.m_lsn <= l)) (fun e -> { e with m_forced = true });
+          true
+        | QAck (f, l) ->
+          Commit_queue.add_ack q ~from:f ~upto:l;
+          update
+            (fun e -> Lsn.(e.m_lsn <= l) && not (List.mem f e.m_ackers))
+            (fun e -> { e with m_ackers = f :: e.m_ackers });
+          true
+        | QCommittable k ->
+          let got = Commit_queue.pop_committable q ~acks_needed:k in
+          same_pop got (take (fun _ e -> e.m_forced && List.length e.m_ackers >= k))
+        | QContiguous (d, upto) ->
+          let from = from_near d in
+          let got = Commit_queue.pop_contiguous q ~from ~upto in
+          let want =
+            take (fun acc e ->
+                let prev = match acc with p :: _ -> p.m_lsn.Lsn.seq | [] -> from.Lsn.seq in
+                Lsn.(e.m_lsn <= upto) && e.m_lsn.Lsn.seq = prev + 1)
+          in
+          same_pop got want
+        | QUpto l -> same_pop (Commit_queue.pop_upto q l) (take (fun _ e -> Lsn.(e.m_lsn <= l)))
+        | QDropAbove l ->
+          let got = Commit_queue.drop_above q l in
+          let keep, want = List.partition (fun e -> Lsn.(e.m_lsn <= l)) !model in
+          model := keep;
+          same_pop got want
+        | QFrontier d -> frontier_agrees d
+      in
+      let state_agrees () =
+        let view (e : Commit_queue.entry) =
+          (e.lsn, e.forced, List.sort Int.compare e.ackers)
+        in
+        let want = List.map (fun e -> (e.m_lsn, e.m_forced, List.sort Int.compare e.m_ackers)) !model in
+        List.map view (Commit_queue.to_list q) = want
+      in
+      List.for_all (fun op -> step op && state_agrees () && frontier_agrees 0) ops)
+
 (* --- messages -------------------------------------------------------------------- *)
 
 let test_message_classification () =
@@ -232,4 +375,5 @@ let suite =
     Alcotest.test_case "message: size accounting" `Quick test_message_sizes_scale;
     Alcotest.test_case "message: txn/scan classification" `Quick test_message_new_ops_classified;
     Alcotest.test_case "log record: batch helpers" `Quick test_batch_op_helpers;
+    QCheck_alcotest.to_alcotest prop_queue_matches_model;
   ]

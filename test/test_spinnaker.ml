@@ -509,6 +509,68 @@ let test_offline_replica_answers_unavailable () =
   | Message.Unavailable -> ()
   | _ -> Alcotest.fail "offline replica answered a timeline read with data, not Unavailable")
 
+(* The duplicate-suppression cache keeps a window of request ids per client.
+   Each range sees only every third id of this client, so evicting the single
+   id [dedup_window] below the newest would never find it, and the cache
+   would grow with every write. *)
+let test_reply_cache_window_bounded () =
+  let engine, cluster = boot () in
+  let partition = Cluster.partition cluster in
+  let ranges = [ 0; 1; 2 ] in
+  let key_of range = fst (Partition.range_bounds partition ~range) in
+  let probe = 99_998 in
+  let waiting = ref (0, ref None) in
+  Sim.Network.register (Cluster.net cluster) ~node:probe (fun env ->
+      match env.Sim.Network.payload with
+      | Message.Reply { request_id; reply } when request_id = fst !waiting ->
+        snd !waiting := Some reply
+      | _ -> ());
+  let send ~range request_id =
+    let cell = ref None in
+    waiting := (request_id, cell);
+    let leader = Option.get (Cluster.leader_of cluster ~range) in
+    Sim.Network.send (Cluster.net cluster) ~src:probe ~dst:leader
+      (Message.Request
+         {
+           client = probe;
+           request_id;
+           op = Message.Put { key = key_of range; col = "c"; value = string_of_int request_id };
+         });
+    match await engine ~timeout:(Sim.Sim_time.sec 5) cell with
+    | Message.Written _ as r -> r
+    | _ -> Alcotest.failf "write %d was not acknowledged" request_id
+  in
+  let n = 10 * Cohort.dedup_window + 2 in
+  let range_of request_id = List.nth ranges (request_id mod List.length ranges) in
+  let last = ref (Message.Written { lsn = Storage.Lsn.zero }) in
+  for request_id = 1 to n do
+    last := send ~range:(range_of request_id) request_id
+  done;
+  (* Let the followers apply the last commits (they cache outcomes too). *)
+  Sim.Engine.run_for engine (Sim.Sim_time.sec 1);
+  List.iter
+    (fun range ->
+      List.iter
+        (fun node ->
+          match Node.cohort (Cluster.node cluster node) ~range with
+          | Some c ->
+            check_bool
+              (Printf.sprintf "range %d node %d holds at most dedup_window replies (%d)" range
+                 node (Cohort.reply_cache_size c))
+              true
+              (Cohort.reply_cache_size c <= Cohort.dedup_window)
+          | None -> ())
+        (Partition.cohort partition ~range))
+    ranges;
+  (* A duplicated retry of the newest write is answered from the cache. *)
+  let range = range_of n in
+  let writes_to_range = List.length (List.filter (fun i -> range_of i = range) (List.init n succ)) in
+  let retry = send ~range n in
+  check_bool "retry answered with the original outcome" true (retry = !last);
+  Sim.Engine.run_for engine (Sim.Sim_time.sec 1);
+  let client = Cluster.new_client cluster in
+  check_int "applied once" writes_to_range (version_of (get_sync engine client (key_of range) "c"))
+
 (* --- failover & recovery -------------------------------------------------------- *)
 
 let leader_of_key cluster key =
@@ -889,4 +951,6 @@ let suite =
     Alcotest.test_case "rolling upgrade stays available" `Slow
       test_rolling_upgrade_stays_available;
     Alcotest.test_case "chaos: no acked write lost" `Slow test_chaos_no_acked_write_lost;
+    Alcotest.test_case "reply cache: per-client window holds" `Quick
+      test_reply_cache_window_bounded;
   ]
