@@ -1554,6 +1554,35 @@ let txn () =
     (fun (invariant, detail) -> Format.printf "    VIOLATION [%s] %s@." invariant detail)
     bank.Workload.Experiment.bank_violations;
   record_field "steady" (Workload.Experiment.json_of_bank bank);
+  (* What the steady cell leaves behind, summed over nodes: the durable log
+     records (bounded by checkpoints and the MVCC chains' GC floor) and the
+     commit-decision cells (one per decided transaction, never collected). *)
+  let nodes = Array.to_list (Cluster.nodes cluster) in
+  let log_records =
+    List.fold_left (fun acc node -> acc + Storage.Wal.durable_count (Node.wal node)) 0 nodes
+  in
+  let decision_cells =
+    List.fold_left
+      (fun acc node ->
+        List.fold_left
+          (fun acc range ->
+            match Node.cohort node ~range with
+            | None -> acc
+            | Some c ->
+              List.fold_left
+                (fun acc ((_, col), cell) ->
+                  if Storage.Row.is_decision_col col && not (Storage.Row.is_tombstone cell)
+                  then acc + 1
+                  else acc)
+                acc
+                (Storage.Store.all_cells (Cohort.store c)))
+          acc (Node.ranges node))
+      0 nodes
+  in
+  Format.printf "  end of steady cell: %d durable log records, %d decision cells@." log_records
+    decision_cells;
+  record_field "log_records" (J.Int log_records);
+  record_field "decision_cells" (J.Int decision_cells);
   (* TXN_SEEDS=3 (or "3,7,21") replays specific gauntlet seeds — the
      reproduction knob for a failing battery entry. *)
   let seeds =

@@ -78,7 +78,10 @@ let min_capture_ts fences init =
    replicates the write intents), a decision record at the anchor key's
    range, then per-key resolves installing final cells. Any prepare failure
    — conflict, cross-range, or timeout (the intent may or may not have
-   landed) — decides abort: presumed abort makes the timeout case safe. *)
+   landed) — aborts without a decision record: under presumed abort a
+   missing decision already means abort, and no commit decide is ever sent
+   after one. An intent whose prepare raced the resolves is caught by the
+   in-doubt sweep, whose status query logs the abort then. *)
 let full_2pc t ~txn ~fences ~b_ts writes k =
   let keys = dedup_keys (List.map (fun (key, _, _) -> key) writes) in
   let anchor = List.hd keys in
@@ -93,31 +96,31 @@ let full_2pc t ~txn ~fences ~b_ts writes k =
          conflicts; the already-performed reads stay anchored at their own
          (larger or equal) timestamp, which those writes never constrained. *)
       let b_ts = min_capture_ts extra b_ts in
-      let resolve_all ~committed ~ts =
+      let resolve_all ~committed ~ts ~reason =
         let pending = ref (List.length keys) in
         List.iter
           (fun key ->
             Client.txn_resolve t.client ~txn ~key ~commit:committed ~ts (fun _ ->
                 decr pending;
                 if !pending = 0 then
-                  if committed then k (Committed { ts })
-                  else k (Aborted { reason = "decided abort" })))
+                  if committed then k (Committed { ts }) else k (Aborted { reason })))
           keys
       in
-      let decide commit =
-        Client.txn_decide t.client ~txn ~anchor ~commit (function
-          | Ok (committed, ts) -> resolve_all ~committed ~ts
+      let settle (committed, ts) = resolve_all ~committed ~ts ~reason:"decided abort" in
+      let decide () =
+        Client.txn_decide t.client ~txn ~anchor ~commit:true (function
+          | Ok decision -> settle decision
           | Error _ ->
             (* The decide's fate is unknown (e.g. coordinator failover ate the
                reply). Ask once for the recorded outcome — the status query
                itself logs an abort if none exists — before handing the
                stragglers to the background sweep. *)
             Client.txn_status t.client ~txn ~anchor (function
-              | Ok (committed, ts) -> resolve_all ~committed ~ts
+              | Ok decision -> settle decision
               | Error _ -> k (Indeterminate { txn })))
       in
       let rec prepare_next = function
-        | [] -> decide true
+        | [] -> decide ()
         | key :: rest ->
           let fence, _ = List.assoc key fences in
           let key_writes =
@@ -127,11 +130,12 @@ let full_2pc t ~txn ~fences ~b_ts writes k =
           in
           Client.txn_prepare t.client ~txn ~anchor ~fence ~fence_ts:b_ts key_writes (function
             | Ok () -> prepare_next rest
-            | Error _ ->
+            | Error e ->
               (* Conflict or timeout: abort. Earlier prepares (and possibly
                  this one, if its timeout raced a success) left intents;
-                 the abort decision plus per-key resolves clears them. *)
-              decide false)
+                 the per-key resolves clear them. *)
+              resolve_all ~committed:false ~ts:0
+                ~reason:(Printf.sprintf "prepare %s: %s" key (err_string e)))
       in
       prepare_next keys)
 

@@ -18,9 +18,12 @@
     conflict checks against the snapshot; the decision record replicates
     through the {e anchor} (first written key) range's log, so coordinator
     failover cannot lose it; per-key resolve records install the final cells
-    and clear the intents. Recovery is presumed abort: an in-doubt intent is
-    escalated to the coordinator, which answers with the recorded decision
-    or logs an abort if there is none. *)
+    and clear the intents. Only a commit is decided on record: when a
+    prepare fails (conflict, cross-range, or timeout) the client resolves
+    the intents as aborted at once, with no decision record. Recovery is
+    presumed abort: an in-doubt intent is escalated to the coordinator,
+    which answers with the recorded decision or logs an abort if there is
+    none. *)
 
 type read = Storage.Row.key * Storage.Row.column
 
@@ -34,7 +37,8 @@ type write = Storage.Row.key * Storage.Row.column * string option
 type outcome =
   | Committed of { ts : int }  (** commit timestamp (µs); 0 for blind fast-path writes *)
   | Aborted of { reason : string }
-      (** nothing is visible: conflict, blocked read, or decided abort *)
+      (** nothing is visible: conflict, blocked read, failed prepare, or
+          decided abort *)
   | Indeterminate of { txn : string }
       (** the decision's fate is unknown (coordinator unreachable); the
           presumed-abort sweep will converge surviving intents, and

@@ -57,11 +57,19 @@ type t = {
   mutable max_store_bytes : int;
       (** largest total SSTable footprint observed when a compaction ran —
           the denominator of the tier-bounded-work claim *)
+  mutable applied_since_flush : int;  (** records applied since the last flush *)
   mvcc_depth : int;  (** per-coordinate version-chain cap *)
   mvcc : (Row.coord, mvcc_version list) Hashtbl.t;
       (** in-memory version chains, newest first; rebuilt from the WAL on
-          recovery (versions that only survive in SSTables fall back to the
-          plain LSN visibility rule) *)
+          recovery. Log rollover keeps every record a transactional chain
+          still holds (see [log_floor]), so recovery rebuilds those chains
+          whole. A chain that held only plain versions at a rollover loses
+          the versions below that checkpoint on a crash: a read below what
+          is left falls back to the newest visible cell in the memtable and
+          SSTables, which keep one version per coordinate each *)
+  txn_coords : (Row.coord, unit) Hashtbl.t;
+      (** coordinates whose chain a committed transaction touched — the
+          chains that pin the log GC floor *)
   intents : (string, intent_info) Hashtbl.t;  (** txn id -> live intents *)
   intent_at : (Row.coord, string) Hashtbl.t;  (** base coord -> owning txn *)
 }
@@ -95,8 +103,10 @@ let create ~cohort ~wal ?(newer = Row.newer_by_lsn) ?(flush_bytes = 4 * 1024 * 1
     max_compaction_input_bytes = 0;
     total_compaction_input_bytes = 0;
     max_store_bytes = 0;
+    applied_since_flush = 0;
     mvcc_depth;
     mvcc = Hashtbl.create 256;
+    txn_coords = Hashtbl.create 16;
     intents = Hashtbl.create 16;
     intent_at = Hashtbl.create 16;
   }
@@ -213,7 +223,32 @@ let major_compact t =
     clear_cache t
   end
 
+(* Checkpoint by applied record count as well as by memtable bytes, as
+   ZooKeeper's [snapCount] and etcd's [--snapshot-count] do: a range of small
+   or heavily overwritten cells never fills [flush_bytes], and the log would
+   otherwise keep every record it ever applied. *)
+let flush_records = 4096
+
+(* The log GC point of a flush at [upto]: the checkpoint, lowered to keep
+   the oldest version of every chain a committed transaction touched. Chains
+   are volatile and recovery rebuilds them from the log alone — an SSTable
+   keeps one version per coordinate — so truncating below such a chain would
+   lose the snapshot history an interval read needs after a crash. Walks
+   only [txn_coords]: a store no transaction touched rolls over at [upto]. *)
+let log_floor t ~upto =
+  let rec oldest = function [ v ] -> v.mv_cell.Row.lsn | _ :: tl -> oldest tl | [] -> upto in
+  Hashtbl.fold
+    (fun coord () floor ->
+      match Hashtbl.find_opt t.mvcc coord with
+      | Some chain ->
+        (* Drop only what lies strictly below the oldest version. *)
+        let l = oldest chain in
+        Lsn.min floor (Lsn.make ~epoch:l.Lsn.epoch ~seq:(l.Lsn.seq - 1))
+      | None -> floor)
+    t.txn_coords upto
+
 let flush t =
+  t.applied_since_flush <- 0;
   if not (Memtable.is_empty t.memtable) then begin
     let table =
       clamp_table t
@@ -231,8 +266,11 @@ let flush t =
        would silently lose committed data. [Wal.crash] cancels the waiter,
        leaving the log intact across a crash inside the window. *)
     Wal.force t.wal (fun () ->
-        Wal.gc_cohort t.wal ~cohort:t.cohort ~upto;
-        Skipped_lsns.gc_upto t.skipped upto);
+        (* The skipped list shadows the records still in the log, so it
+           rolls over at the same point. *)
+        let floor = log_floor t ~upto in
+        Wal.gc_cohort t.wal ~cohort:t.cohort ~upto:floor;
+        Skipped_lsns.gc_upto t.skipped floor);
     maybe_compact t
   end
 
@@ -260,7 +298,8 @@ let push_version t coord (cell : Row.cell) ~txn_ts =
     | _ -> entry :: chain
   in
   let chain = if List.length chain > t.mvcc_depth then List.filteri (fun i _ -> i < t.mvcc_depth) chain else chain in
-  Hashtbl.replace t.mvcc coord chain
+  Hashtbl.replace t.mvcc coord chain;
+  if txn_ts <> None then Hashtbl.replace t.txn_coords coord ()
 
 (* Track an applied intent/decision system cell in the in-memory intent
    index. Driven by the cell's coordinate, not the op shape, so catch-up
@@ -334,7 +373,9 @@ let apply t ~lsn ~timestamp op =
   List.iter
     (fun (coord, cell) -> ingest_cell t coord cell)
     (Log_record.cells_of_write op ~lsn ~timestamp);
-  if Memtable.approx_bytes t.memtable >= t.flush_bytes then flush t
+  t.applied_since_flush <- t.applied_since_flush + 1;
+  if Memtable.approx_bytes t.memtable >= t.flush_bytes || t.applied_since_flush >= flush_records
+  then flush t
 
 (* The uncached lookup: newest cell across memtable and SSTables, counting
    how many tables were actually probed (bloom/LSN-pruned tables are not). *)
@@ -563,14 +604,17 @@ let scan t ~low ~high ~limit =
   end
 
 (* The MVCC chains and intent index are volatile; recovery rebuilds them
-   (chains from the replayed log suffix, intents from the durable heads). *)
+   (chains from the log records rollover kept, intents from the durable
+   heads). *)
 let reset_txn_state t =
   Hashtbl.reset t.mvcc;
+  Hashtbl.reset t.txn_coords;
   Hashtbl.reset t.intents;
   Hashtbl.reset t.intent_at
 
 let crash t =
   t.memtable <- Memtable.create ();
+  t.applied_since_flush <- 0;
   (* [flushed_upto] is volatile bookkeeping: a crash can land after the
      memtable flush but before the checkpoint record is durable, in which
      case recovery must rederive the flush horizon from stable storage. The
@@ -601,47 +645,47 @@ let rebuild_intents t =
          if in_bounds t key && Row.is_intent_col col && not (Row.is_tombstone cell) then
            track_system_cell t coord cell)
 
-let recover t =
+(* Feed every cell of the durable log records in (above, upto] to [f],
+   skipping logically truncated LSNs. *)
+let replay t ~above ~upto f =
+  List.iter
+    (fun (lsn, op, timestamp, _) ->
+      if not (Skipped_lsns.mem t.skipped lsn) then
+        List.iter (fun (coord, cell) -> f coord cell) (Log_record.cells_of_write op ~lsn ~timestamp))
+    (Wal.durable_writes_in t.wal ~cohort:t.cohort ~above ~upto)
+
+(* Shared prologue of both recoveries: reset the volatile state, rederive the
+   flush horizon, and rebuild the chains from the records rollover kept at
+   or below it — chains only, their data is already in SSTables. *)
+let recover_prefix t =
   t.memtable <- Memtable.create ();
+  t.applied_since_flush <- 0;
   clear_cache t;
   reset_txn_state t;
   let checkpoint = Wal.last_checkpoint t.wal ~cohort:t.cohort in
   (* SSTables survive the crash; data through the checkpoint is in them.
-     A flushed write is definitionally committed (only committed writes reach
-     the memtable, §5), so f.cmt is at least the checkpoint even when older
-     commit markers were rolled over with the log. A split child's inherited
-     tables likewise hold everything through [inherited_upto] — its own log
-     only starts after the split. *)
+     A split child's inherited tables likewise hold everything through
+     [inherited_upto] — its own log only starts after the split. *)
   t.flushed_upto <- Lsn.max t.flushed_upto (Lsn.max checkpoint t.inherited_upto);
+  replay t ~above:Lsn.zero ~upto:t.flushed_upto (fun ((key, col) as coord) cell ->
+      if in_bounds t key && not (Row.is_system_col col) then
+        push_version t coord cell ~txn_ts:cell.Row.txn_ts)
+
+let recover t =
+  recover_prefix t;
+  (* A flushed write is definitionally committed (only committed writes
+     reach the memtable, §5), so f.cmt is at least the checkpoint even when
+     older commit markers were rolled over with the log. *)
   let cmt = Lsn.max t.flushed_upto (Wal.last_commit_marker t.wal ~cohort:t.cohort) in
   let lst = Lsn.max cmt (Wal.last_write_lsn t.wal ~cohort:t.cohort) in
-  let replay =
-    Wal.durable_writes_in t.wal ~cohort:t.cohort ~above:t.flushed_upto ~upto:cmt
-  in
-  List.iter
-    (fun (lsn, op, timestamp, _) ->
-      if not (Skipped_lsns.mem t.skipped lsn) then
-        List.iter
-          (fun (coord, cell) -> ingest_cell t coord cell)
-          (Log_record.cells_of_write op ~lsn ~timestamp))
-    replay;
+  replay t ~above:t.flushed_upto ~upto:cmt (ingest_cell t);
   rebuild_intents t;
   (cmt, lst)
 
 let recover_all t =
-  t.memtable <- Memtable.create ();
-  clear_cache t;
-  reset_txn_state t;
-  let checkpoint = Wal.last_checkpoint t.wal ~cohort:t.cohort in
-  t.flushed_upto <- Lsn.max t.flushed_upto (Lsn.max checkpoint t.inherited_upto);
+  recover_prefix t;
   let lst = Wal.last_write_lsn t.wal ~cohort:t.cohort in
-  let replay = Wal.durable_writes_in t.wal ~cohort:t.cohort ~above:t.flushed_upto ~upto:lst in
-  List.iter
-    (fun (lsn, op, timestamp, _) ->
-      List.iter
-        (fun (coord, cell) -> ingest_cell t coord cell)
-        (Log_record.cells_of_write op ~lsn ~timestamp))
-    replay;
+  replay t ~above:t.flushed_upto ~upto:lst (ingest_cell t);
   rebuild_intents t;
   lst
 

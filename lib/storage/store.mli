@@ -44,8 +44,9 @@ val create :
     [max_sstables] (default 16) forces a full merge with tombstone GC.
     [cache_capacity] (default 0 = disabled) bounds the LRU row cache in
     entries. [mvcc_depth] (default 64) caps each coordinate's in-memory
-    version chain; snapshot reads below the cap fall back to the plain
-    durable-LSN rule. *)
+    version chain; a snapshot read below the cap falls back to the newest
+    visible version still in the memtable or SSTables, which keep only one
+    version per coordinate each. *)
 
 val cohort : t -> int
 
@@ -79,8 +80,10 @@ val skipped : t -> Skipped_lsns.t
 
 val apply : t -> lsn:Lsn.t -> timestamp:int -> Log_record.op -> unit
 (** Apply a committed write to the memtable, flushing/compacting as needed
-    and invalidating the written coordinates in the row cache. Idempotent:
-    re-applying a record yields the same state. *)
+    and invalidating the written coordinates in the row cache. A flush runs
+    once the memtable reaches [flush_bytes] or 4,096 records have been
+    applied since the last one. Idempotent: re-applying a record yields the
+    same state. *)
 
 val get : t -> Row.coord -> Row.cell option
 (** The newest cell across memtable and SSTables — including tombstones, so
@@ -167,7 +170,10 @@ val flush : t -> unit
 (** Force a memtable flush (also invoked automatically by [apply]). Appends a
     checkpoint record, then rolls the WAL over for this cohort only once the
     checkpoint is durable — GC-ing before the force opens a crash window in
-    which the log holds neither the flushed writes nor the checkpoint. *)
+    which the log holds neither the flushed writes nor the checkpoint. The
+    rollover keeps every record at or above the oldest version of any MVCC
+    chain a committed transaction touched, so {!recover} can rebuild those
+    chains; a store no transaction touched rolls over at the checkpoint. *)
 
 val major_compact : t -> unit
 (** Merge every SSTable into one, dropping tombstones — the explicit
@@ -183,12 +189,15 @@ val wipe : t -> unit
 (** Lose SSTables and the skipped-LSN list too (disk failure). *)
 
 val recover : t -> Lsn.t * Lsn.t
-(** Local recovery. Rebuilds the memtable from the checkpoint through f.cmt
-    and returns [(f.cmt, f.lst)] as read from stable storage. *)
+(** Local recovery. Rebuilds the MVCC chains from the records rollover kept
+    at or below the checkpoint (their data is already in SSTables), then the
+    memtable and chains from the checkpoint through f.cmt, and returns
+    [(f.cmt, f.lst)] as read from stable storage. *)
 
 val recover_all : t -> Lsn.t
-(** Local recovery without a commit horizon: re-apply every durable record
-    after the checkpoint and return the last LSN. Used by the eventually
+(** Local recovery without a commit horizon: rebuild the chains as
+    {!recover} does, re-apply every durable record after the checkpoint
+    (logically truncated LSNs excepted) and return the last LSN. Used by the eventually
     consistent baseline, where any logged write is immediately applied and
     divergence is reconciled by read repair / anti-entropy instead. *)
 

@@ -518,22 +518,22 @@ let run_schedule_replay path =
    orphaned in-doubt intents after recovery. A failing seed ddmins its
    schedule to a minimal reproduction and dumps the flight recorder's
    outlier traces next to it. *)
-let run_txn_bank_seed seed =
-  let v = Workload.Chaos.run_txn_bank ~seed () in
+let run_txn_bank_seed ?config ?(label = "txn") seed =
+  let v = Workload.Chaos.run_txn_bank ?config ~seed () in
   if Workload.Chaos.failed v then begin
-    Format.printf "@.txn-bank seed %d violations:@." seed;
+    Format.printf "@.%s-bank seed %d violations:@." label seed;
     List.iter
       (fun (invariant, detail) -> Format.printf "  %s: %s@." invariant detail)
       v.Workload.Chaos.violations;
     (match v.Workload.Chaos.outliers with
     | Some json ->
-      let path = Printf.sprintf "TRACE_outliers_txn_seed%d.json" seed in
+      let path = Printf.sprintf "TRACE_outliers_%s_seed%d.json" label seed in
       Sim.Json.to_file path json;
       Format.printf "outlier flight-recorder traces dumped to %s@." path
     | None -> ());
-    (match Workload.Chaos.shrink_txn_bank ~seed () with
+    (match Workload.Chaos.shrink_txn_bank ?config ~seed () with
     | Some (minimal_verdict, minimal, stats) ->
-      let path = Printf.sprintf "MINIMAL_SCHEDULE_txn_seed%d.json" seed in
+      let path = Printf.sprintf "MINIMAL_SCHEDULE_%s_seed%d.json" label seed in
       Sim.Json.to_file path
         (Workload.Chaos.json_of_verdict { minimal_verdict with schedule = minimal });
       Format.printf "ddmin: %d -> %d injections in %d replays; artifact: %s@."
@@ -551,7 +551,16 @@ let run_txn_bank_seed seed =
     true
     (v.Workload.Chaos.indeterminate = 0)
 
-let test_txn_chaos_battery () = List.iter run_txn_bank_seed (chaos_seeds ())
+let test_txn_chaos_battery () = List.iter (fun seed -> run_txn_bank_seed seed) (chaos_seeds ())
+
+(* The same gauntlet with a 512-byte memtable, so every range checkpoints
+   and rolls its log over many times mid-run: crash recovery must rebuild
+   the MVCC chains that snapshot reads depend on from what rollover kept.
+   Truncating the log at the checkpoint loses that history, which seed 3
+   shows as a serializability cycle. *)
+let test_txn_small_memtable_battery () =
+  let config = { Workload.Chaos.default_config with Config.flush_bytes = 512 } in
+  List.iter (run_txn_bank_seed ~config ~label:"txn_small_memtable") (chaos_seeds ())
 
 let test_chaos_survival () =
   match Sys.getenv_opt "NEMESIS_SCHEDULE" with
@@ -575,4 +584,6 @@ let suite =
       test_chaos_survival;
     Alcotest.test_case "txn chaos: 2PC bank transfers under failover-mid-commit" `Slow
       test_txn_chaos_battery;
+    Alcotest.test_case "txn chaos: checkpoints and log rollover under a 512-byte memtable"
+      `Slow test_txn_small_memtable_battery;
   ]

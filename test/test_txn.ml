@@ -93,48 +93,64 @@ let prop_single_key_txn_differential =
 
 (* --- MVCC visibility at the store ----------------------------------------- *)
 
-let make_store ?(cache_capacity = 0) () =
+let make_logged_store ?(cache_capacity = 0) () =
   let engine = Sim.Engine.create () in
   let disk = Sim.Resource.create engine ~name:"d" () in
   let model = Sim.Disk_model.create Sim.Disk_model.Ssd in
   let wal = Wal.create engine ~disk ~model ~rng:(Sim.Rng.create 1) () in
-  Store.create ~cohort:0 ~wal ~cache_capacity ()
+  (engine, wal, Store.create ~cohort:0 ~wal ~cache_capacity ())
+
+let make_store ?cache_capacity () =
+  let _, _, store = make_logged_store ?cache_capacity () in
+  store
 
 (* Version i of the test coordinate: LSN 1.i; plain writes carry value
    "p<i>", transactionally installed versions "t<i>" with commit timestamp
    i*100. *)
 let coord = ("acct", "c")
 
-let install_versions store kinds =
+(* Install the versions through the WAL as a replica does: log, apply, and
+   flush after version [flush_at] (0 = never), letting the checkpoint force
+   and the log rollover behind it complete before the next version. *)
+let install_versions ?(flush_at = 0) (engine, wal, store) kinds =
   List.iteri
     (fun j is_txn ->
       let i = j + 1 in
-      let l = lsn 1 i in
-      if is_txn then
-        Store.apply store ~lsn:l ~timestamp:(i * 100)
-          (Log_record.Txn_resolve
-             {
-               txn = Printf.sprintf "t%d" i;
-               commit = true;
-               ts = i * 100;
-               writes = [ (fst coord, snd coord, Some (Printf.sprintf "t%d" i), i) ];
-             })
-      else
-        Store.apply store ~lsn:l ~timestamp:(i * 100)
-          (Log_record.Put
-             { key = fst coord; col = snd coord; value = Printf.sprintf "p%d" i; version = i }))
-    kinds
+      let op =
+        if is_txn then
+          Log_record.Txn_resolve
+            {
+              txn = Printf.sprintf "t%d" i;
+              commit = true;
+              ts = i * 100;
+              writes = [ (fst coord, snd coord, Some (Printf.sprintf "t%d" i), i) ];
+            }
+        else
+          Log_record.Put
+            { key = fst coord; col = snd coord; value = Printf.sprintf "p%d" i; version = i }
+      in
+      Wal.append wal (Log_record.write ~cohort:0 ~lsn:(lsn 1 i) ~timestamp:(i * 100) op);
+      Store.apply store ~lsn:(lsn 1 i) ~timestamp:(i * 100) op;
+      if i = flush_at then begin
+        Store.flush store;
+        Sim.Engine.run engine
+      end)
+    kinds;
+  Wal.append wal (Log_record.commit_upto ~cohort:0 (lsn 1 (List.length kinds)));
+  Wal.force wal ignore;
+  Sim.Engine.run engine
 
 (* The reference visibility rule, computed over the abstract version list:
    a plain version is visible iff its LSN index is at or below the fence, a
    transactional version iff its commit timestamp is at or below the
    snapshot timestamp. The newest visible version wins; a version above the
    fence must never be served, nor an older one when a newer visible one
-   exists ("overwritten at end_lsn <= B"). *)
-let expected_visible kinds ~fence_idx ~fence_ts =
+   exists ("overwritten at end_lsn <= B"). Only versions [oldest..n] are
+   considered: those the store still holds. *)
+let expected_visible ?(oldest = 1) kinds ~fence_idx ~fence_ts =
   let n = List.length kinds in
   let rec scan i =
-    if i < 1 then None
+    if i < oldest then None
     else
       let is_txn = List.nth kinds (i - 1) in
       let visible = if is_txn then i * 100 <= fence_ts else i <= fence_idx in
@@ -143,15 +159,31 @@ let expected_visible kinds ~fence_idx ~fence_ts =
   in
   scan n
 
+(* Which versions survive a crash. Log rollover keeps every record of a
+   chain a committed transaction had touched when it ran, so recovery
+   rebuilds that chain whole. A chain with only plain versions at rollover
+   keeps only the records above the checkpoint; below it the SSTable holds
+   the newest version, [flush_at], and the older plain history is gone. *)
+let oldest_surviving kinds ~flush_at ~crash =
+  let txn_before_rollover = List.exists Fun.id (List.filteri (fun j _ -> j < flush_at) kinds) in
+  if crash && flush_at >= 1 && flush_at <= List.length kinds && not txn_before_rollover then
+    flush_at
+  else 1
+
 let prop_snapshot_visibility =
   QCheck.Test.make ~name:"snapshot_get matches the interval visibility rule" ~count:300
     QCheck.(
-      pair
+      triple
         (list_of_size (Gen.int_range 1 12) bool)
-        (pair (int_bound 14) (int_bound 15)))
-    (fun (kinds, (fence_idx, fts_raw)) ->
-      let store = make_store () in
-      install_versions store kinds;
+        (pair (int_bound 14) (int_bound 15))
+        (pair (int_bound 12) bool))
+    (fun (kinds, (fence_idx, fts_raw), (flush_at, crash)) ->
+      let ((_, _, store) as logged) = make_logged_store () in
+      install_versions ~flush_at logged kinds;
+      if crash then begin
+        Store.crash store;
+        ignore (Store.recover store)
+      end;
       let fence = if fence_idx = 0 then Lsn.zero else lsn 1 fence_idx in
       let fence_ts = fts_raw * 100 in
       let got =
@@ -160,7 +192,9 @@ let prop_snapshot_visibility =
         | Store.Snap_none -> None
         | Store.Snap_blocked txn -> Some ("blocked:" ^ txn)
       in
-      got = expected_visible kinds ~fence_idx ~fence_ts)
+      got
+      = expected_visible kinds ~fence_idx ~fence_ts
+          ~oldest:(oldest_surviving kinds ~flush_at ~crash))
 
 (* An unresolved intent at or below the fence blocks the snapshot reader —
    the owning transaction may yet commit inside the snapshot. Above the
@@ -196,6 +230,103 @@ let test_snapshot_blocked_by_intent () =
   match Store.snapshot_get store coord ~fence:(lsn 1 3) ~fence_ts:1_000_000 with
   | Store.Snap_cell c -> check_str_opt "resolved version" (Some "proposed") c.Row.value
   | _ -> Alcotest.fail "resolved write must be visible"
+
+(* --- presumed abort: a failed prepare writes no decision ------------------ *)
+
+(* Every durable [Txn_decision] record for [txn], over all nodes' logs. *)
+let decision_records cluster ~txn =
+  Array.fold_left
+    (fun acc node ->
+      List.fold_left
+        (fun acc (r : Log_record.t) ->
+          match r.entry with
+          | Log_record.Write { op = Log_record.Txn_decision { txn = t; _ }; _ }
+            when String.equal t txn ->
+            acc + 1
+          | _ -> acc)
+        acc
+        (Wal.durable_records (Node.wal node)))
+    0 (Cluster.nodes cluster)
+
+(* Every replica store of every range, for whole-cluster state checks. *)
+let all_stores cluster =
+  let ranges = Partition.ranges (Cluster.partition cluster) in
+  Array.to_list (Cluster.nodes cluster)
+  |> List.concat_map (fun node ->
+         List.filter_map
+           (fun range -> Option.map Cohort.store (Node.cohort node ~range))
+           (List.init ranges Fun.id))
+
+(* A transfer whose second prepare conflicts with another transaction's
+   intent aborts straight away: its first intent is resolved, and no
+   decision is logged at its anchor. A later status query — what the
+   in-doubt sweep asks — finds no decision, logs the presumed abort, and
+   answers with it. *)
+let test_presumed_abort_writes_no_decision () =
+  let engine = Sim.Engine.create ~seed:7 () in
+  let cluster = Cluster.create engine test_config in
+  Cluster.start cluster;
+  if not (Cluster.run_until_ready cluster) then Alcotest.fail "cluster never became ready";
+  let client = Cluster.new_client cluster in
+  let partition = Cluster.partition cluster in
+  let ka = Partition.key_of_int partition 0 in
+  let kb = Partition.key_of_int partition (Partition.key_space partition / 2) in
+  let await what cell =
+    let rec drive n =
+      match !cell with
+      | Some v -> v
+      | None when n = 0 -> Alcotest.failf "%s never settled" what
+      | None ->
+        Sim.Engine.run_for engine (Sim.Sim_time.ms 5);
+        drive (n - 1)
+    in
+    drive 2_000
+  in
+  (* Another transaction holds an intent on kb. *)
+  let fenced = ref None in
+  Client.fence client kb (fun r -> fenced := Some r);
+  let fence, fence_ts =
+    match await "fence" fenced with Ok f -> f | Error _ -> Alcotest.fail "fence failed"
+  in
+  let prepared = ref None in
+  Client.txn_prepare client ~txn:"blocker" ~anchor:kb ~fence ~fence_ts
+    [ (kb, "c", Some "held") ]
+    (fun r -> prepared := Some r);
+  (match await "blocker prepare" prepared with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "blocker prepare failed");
+  (* The transfer prepares ka (its anchor), then conflicts on kb. *)
+  let mgr = Txn.manager ~engine ~config:test_config client in
+  let txn = Printf.sprintf "t%d.0" (Client.id client) in
+  let outcome = ref None in
+  Txn.run mgr ~reads:[]
+    ~compute:(fun _ -> [ (ka, "c", Some "1"); (kb, "c", Some "2") ])
+    (fun o -> outcome := Some o);
+  (match await "transfer" outcome with
+  | Txn.Aborted _ -> ()
+  | o -> Alcotest.failf "expected an abort, got %a" Txn.pp_outcome o);
+  Sim.Engine.run_for engine (Sim.Sim_time.ms 500);
+  let stores = all_stores cluster in
+  check_bool "no intents left" true
+    (List.for_all (fun store -> Store.intents_of store txn = []) stores);
+  check_bool "no decision cell at the anchor" true
+    (List.for_all (fun store -> Store.get store (ka, Row.decision_col txn) = None) stores);
+  check_int "no decision record logged" 0 (decision_records cluster ~txn);
+  (* The status query finds nothing on record and logs the abort. *)
+  let status = ref None in
+  Client.txn_status client ~txn ~anchor:ka (fun r -> status := Some r);
+  (match await "status" status with
+  | Ok (committed, _) -> check_bool "status answers abort" false committed
+  | Error _ -> Alcotest.fail "status query failed");
+  Sim.Engine.run_for engine (Sim.Sim_time.ms 500);
+  check_bool "the presumed abort is logged" true (decision_records cluster ~txn > 0);
+  check_bool "and recorded at the anchor" true
+    (List.exists
+       (fun store ->
+         match Store.get store (ka, Row.decision_col txn) with
+         | Some { Row.value = Some payload; _ } -> Row.decode_decision payload <> None
+         | _ -> false)
+       stores)
 
 (* --- row-cache/snapshot isolation (the satellite bugfix) ------------------- *)
 
@@ -267,6 +398,8 @@ let suite =
       test_snapshot_blocked_by_intent;
     Alcotest.test_case "snapshot reads bypass the row cache" `Quick
       test_snapshot_reads_bypass_row_cache;
+    Alcotest.test_case "a failed prepare aborts without a decision record" `Quick
+      test_presumed_abort_writes_no_decision;
     Alcotest.test_case "checker catches G1c circular information flow" `Quick
       test_checker_catches_g1c;
     Alcotest.test_case "checker catches lost updates" `Quick test_checker_catches_lost_update;
