@@ -96,19 +96,6 @@ let create engine config =
   { engine; config; partition; net; zk_server; nodes; trace; flight; metrics;
     next_client = 10_000 }
 
-(* The presumed-abort escalation wiring needs [new_client], defined below
-   (it depends on nothing here); tied together after that definition. *)
-let install_txn_escalation : (t -> unit) ref = ref (fun _ -> ())
-
-let start t =
-  !install_txn_escalation t;
-  Array.iter Node.start t.nodes;
-  (* A zero period disables the periodic gauge sampler: benches that do not
-     export timelines should not pay one sweep over every gauge per 100 ms
-     of sim time. *)
-  if Sim.Sim_time.span_compare t.config.Config.metrics_sample_period Sim.Sim_time.span_zero > 0
-  then
-    Sim.Metrics.Registry.start_sampling t.metrics ~period:t.config.Config.metrics_sample_period
 let engine t = t.engine
 let config t = t.config
 let partition t = t.partition
@@ -119,21 +106,6 @@ let flight t = t.flight
 let metrics t = t.metrics
 let node t i = t.nodes.(i)
 let nodes t = t.nodes
-
-(* Scale-out (§10): a fresh node joins the running cluster. It hosts no
-   ranges until a migration or split makes it a cohort member; until then it
-   only registers with the coordination service and watches /layout. *)
-let add_node t =
-  let id = Array.length t.nodes in
-  let node =
-    Node.create ~engine:t.engine ~net:t.net ~zk_server:t.zk_server ~partition:t.partition
-      ~config:t.config ~trace:t.trace ~id
-  in
-  t.nodes <- Array.append t.nodes [| node |];
-  register_node_gauges t.metrics node;
-  !install_txn_escalation t;
-  Node.start node;
-  id
 
 let leader_of t ~range =
   let cohort_nodes = Partition.cohort t.partition ~range in
@@ -338,26 +310,49 @@ let new_client t =
    transaction's outcome (logging an abort there if none exists) and then
    resolves the stranded intents. One lazily created client serves the whole
    cluster — escalations are rare and idempotent. *)
-let () =
-  install_txn_escalation :=
-    fun t ->
-      let resolver = ref None in
-      let client () =
-        match !resolver with
-        | Some c -> c
-        | None ->
-          let c = new_client t in
-          resolver := Some c;
-          c
-      in
-      let escalate ~txn ~anchor ~key =
-        let c = client () in
-        Client.txn_status c ~txn ~anchor (function
-          | Ok (committed, ts) ->
-            Client.txn_resolve c ~txn ~key ~commit:committed ~ts (fun _ -> ())
-          | Error _ -> ())
-      in
-      Array.iter (fun n -> Node.set_txn_escalation n escalate) t.nodes
+let install_txn_escalation t =
+  let resolver = ref None in
+  let client () =
+    match !resolver with
+    | Some c -> c
+    | None ->
+      let c = new_client t in
+      resolver := Some c;
+      c
+  in
+  let escalate ~txn ~anchor ~key =
+    let c = client () in
+    Client.txn_status c ~txn ~anchor (function
+      | Ok (committed, ts) ->
+        Client.txn_resolve c ~txn ~key ~commit:committed ~ts (fun _ -> ())
+      | Error _ -> ())
+  in
+  Array.iter (fun n -> Node.set_txn_escalation n escalate) t.nodes
+
+let start t =
+  install_txn_escalation t;
+  Array.iter Node.start t.nodes;
+  (* A zero period disables the periodic gauge sampler: benches that do not
+     export timelines should not pay one sweep over every gauge per 100 ms
+     of sim time. *)
+  if Sim.Sim_time.span_compare t.config.Config.metrics_sample_period Sim.Sim_time.span_zero > 0
+  then
+    Sim.Metrics.Registry.start_sampling t.metrics ~period:t.config.Config.metrics_sample_period
+
+(* Scale-out (§10): a fresh node joins the running cluster. It hosts no
+   ranges until a migration or split makes it a cohort member; until then it
+   only registers with the coordination service and watches /layout. *)
+let add_node t =
+  let id = Array.length t.nodes in
+  let node =
+    Node.create ~engine:t.engine ~net:t.net ~zk_server:t.zk_server ~partition:t.partition
+      ~config:t.config ~trace:t.trace ~id
+  in
+  t.nodes <- Array.append t.nodes [| node |];
+  register_node_gauges t.metrics node;
+  install_txn_escalation t;
+  Node.start node;
+  id
 
 (* Administrative rebalancing entry points. Both are asynchronous: they ask
    the range's current leader to drive the protocol and return immediately;

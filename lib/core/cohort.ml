@@ -1,14 +1,12 @@
-module Lsn = Storage.Lsn
-module Store = Storage.Store
-module Wal = Storage.Wal
-module Log_record = Storage.Log_record
-module Row = Storage.Row
-module Skipped_lsns = Storage.Skipped_lsns
-module Int_map = Map.Make (Int)
+(* The per-range replica: lifecycle, message dispatch and accessors over the
+   layers in [Cohort_state] .. [Cohort_membership] (see cohort_state.ml for
+   their dependency order). *)
 
-type role = Offline | Candidate | Leader | Follower
+open Cohort_state
 
-type ctx = {
+type role = Cohort_state.role = Offline | Candidate | Leader | Follower
+
+type ctx = Cohort_state.ctx = {
   engine : Sim.Engine.t;
   node_id : int;
   range : int;
@@ -18,255 +16,39 @@ type ctx = {
   cpu : Sim.Resource.t;
   trace : Sim.Trace.t;
   send : ?trace_id:int -> dst:int -> Message.t -> unit;
-      (** [trace_id] tags the message's network-transit span so the causal
-          analyzer can stitch the hop into the owning request's DAG *)
   reply : client:int -> request_id:int -> Message.client_reply -> unit;
   zk : unit -> Coord.Zk_client.t;
   incarnation : unit -> int;
   routes_here : Storage.Row.key -> bool;
-      (** whether a key belongs to this cohort's range (transaction scoping);
-          consulted again at write time — the layout may have moved *)
   range_bounds : unit -> Storage.Row.key * Storage.Row.key;
-      (** current [start, end) of this cohort's key range (scan clamping);
-          a function because a range split narrows it *)
   members : unit -> int list;
-      (** the cohort's current membership under the live routing table *)
   xfer : Sim.Resource.t;
-      (** the node's bulk-transfer link; snapshot chunks stream through it at
-          [Config.xfer_bytes_per_sec] so migration bandwidth is modelled *)
   apply_meta : op:Storage.Log_record.op -> leader:bool -> unit;
-      (** node-level side effects of a committed metadata record (routing
-          table update, child-cohort spawn, layout publication) *)
   retire_self : unit -> unit;
-      (** drop this cohort from the hosting node (migration moved it away,
-          or a learner's migration aborted) *)
   resolve_in_doubt : txn:Storage.Row.key -> anchor:Storage.Row.key -> key:Storage.Row.key -> unit;
-      (** node-level escalation for the presumed-abort sweep: query the
-          coordinator cohort owning [anchor] for [txn]'s outcome and resolve
-          the in-doubt intents at [key]'s range (a no-op outside a cluster) *)
 }
 
-type waiting_write = { client : int; request_id : int; op : Message.client_op }
-
-(* Unleased strong read awaiting its read-index quorum: the reply was built
-   at arrival; it is released once a majority of followers confirm this
-   leader's epoch is still current (quorum intersection with any takeover
-   quorum guarantees no newer leader has committed anything yet). *)
-type pending_guard = {
-  g_client : int;
-  g_request_id : int;
-  g_serve : unit -> unit;  (** submit the prepared reply to the CPU *)
-  mutable g_acks : int list;  (** distinct follower acks so far *)
-  g_span : int;  (** open [read.guard] span (0 when untraced) *)
-  g_trace_id : int;
+type read_stats = Cohort_state.read_stats = {
+  mutable leased : int;
+  mutable guarded : int;
+  mutable lease_rejects : int;
+  mutable guard_fails : int;
+  mutable leader_timeline : int;
+  mutable follower_timeline : int;
+  mutable token_waits : int;
+  mutable token_redirects : int;
 }
 
-(* Timeline read parked behind its read-your-writes token: served once the
-   applied commit point reaches the token, redirected to the leader if the
-   staleness bound passes first. *)
-type parked_read = {
-  p_client : int;
-  p_request_id : int;
-  p_token : Storage.Lsn.t;
-  p_serve : unit -> unit;
-  mutable p_done : bool;  (** served or redirected; the deadline is a no-op *)
-  p_wait_span : int;  (** open [read.wait_lsn] span (0 when untraced) *)
-  p_trace_id : int;
-}
+type t = Cohort_state.t
 
-(* Read-path counters, cluster-lifetime (crash does not reset them — they
-   feed bench series, like the write-phase histograms). *)
-type read_stats = {
-  mutable leased : int;  (** strong reads served locally under a live lease *)
-  mutable guarded : int;  (** strong reads served via a read-index quorum round *)
-  mutable lease_rejects : int;  (** strong reads refused because the lease lapsed *)
-  mutable guard_fails : int;  (** guard rounds that timed out without a quorum *)
-  mutable leader_timeline : int;  (** timeline reads served by the leader *)
-  mutable follower_timeline : int;  (** timeline reads served by a follower *)
-  mutable token_waits : int;  (** timeline reads parked for cmt to reach a token *)
-  mutable token_redirects : int;  (** parked reads that hit the staleness bound *)
-}
-
-(* Outcome of a client write, remembered per (client, request id) so a
-   duplicated or retried request is answered idempotently instead of being
-   applied a second time (clients retry under loss and leader changes). *)
-type dedup_state = In_flight | Done of Message.client_reply
-
-(* Per leader-tracked write (keyed by its last LSN): the append instant for
-   the phase histograms plus the request's trace id and open replication
-   span, so [try_commit] can close the span it did not open. *)
-type inflight = { started : Sim.Sim_time.t; trace_id : int; repl_span : int }
-
-(* Leader-side replica-migration state (§10): ship a snapshot of the store to
-   the joiner stop-and-wait, then run WAL catch-up from the snapshot horizon,
-   then commit a [Cohort_change] record that swaps the joiner in. *)
-type migration = {
-  joiner : int;
-  remove : int option;  (** the replica the joiner replaces, if any *)
-  chunks : (Row.coord * Row.cell) list array;
-  upto : Lsn.t;  (** snapshot commit horizon; catch-up resumes here *)
-  mutable next_chunk : int;
-  mutable phase : [ `Snapshot | `Catchup | `Change ];
-  mutable attempts : int;  (** retransmissions of the current chunk *)
-}
-
-type t = {
-  ctx : ctx;
-  mutable role : role;
-  mutable epoch : int;  (** highest leadership epoch seen *)
-  mutable cmt : Lsn.t;
-  mutable lst : Lsn.t;
-  queue : Commit_queue.t;
-  mutable leader : int option;
-  (* leader state *)
-  mutable open_for_writes : bool;
-  mutable active_followers : int list;
-  mutable pending_final : int list;  (** followers in a blocked final catch-up round *)
-  mutable takeover_pending : bool;
-  mutable takeover_open_at : Lsn.t;
-      (** lst captured at takeover start: the cohort may not reopen until cmt
-          reaches it (the re-proposed tail of Figure 6 line 9 has committed) *)
-  mutable takeover_commit_wait : bool;
-      (** the takeover has its follower quorum but the re-proposed (cmt, lst]
-          tail is not yet committed; [try_commit] opens the cohort once it is *)
-  mutable waiting : waiting_write list;  (** writes queued while closed/blocked, newest first *)
-  mutable unproposed : (Lsn.t * Storage.Log_record.op * int * (int * int) option) list;
-      (** newest first: appended+forced locally but held back because the
-          replication pipeline window ([Config.pipeline_depth]) is full;
-          shipped as one batched Propose when a slot frees *)
-  inflight_props : Lsn.t Queue.t;
-      (** highest LSN of each outstanding Propose batch; a batch retires
-          when cmt reaches it *)
-  mutable commit_timer_armed : bool;
-  dedup : (int, dedup_state Int_map.t) Hashtbl.t;
-      (** client -> request id -> write outcome, for duplicate suppression;
-          at most [dedup_window] ids per client *)
-  mutable migration : migration option;  (** leader-side migration in flight *)
-  mutable splitting : bool;  (** a range split is being logged; writes block *)
-  (* follower state *)
-  mutable catching_up : bool;
-  mutable learner : bool;
-      (** a joining replica that is not yet a cohort member: it receives the
-          snapshot and catch-up but must not vote in elections, and its acks
-          do not count toward the old configuration's majority *)
-  mutable snapshot_next : int;
-      (** next snapshot chunk sequence expected (crash-safe resume gate: a
-          chunk out of order is never acked, so a restarted joiner cannot
-          silently miss a prefix) *)
-  mutable last_leader_msg : Sim.Sim_time.t;
-      (** last accepted leader traffic; silence beyond a few commit periods
-          means our propose stream may have a hole we cannot see *)
-  mutable resync_armed : bool;
-  mutable ack_pending : (int * Lsn.t * int) option;
-      (** (leader, upto, trace id) of a coalesced cumulative ack not yet sent
-          ([Config.ack_coalesce] > 0); the trace id belongs to the newest
-          write the ack covers (-1 when untraced) *)
-  mutable ack_timer_armed : bool;
-  (* election state *)
-  mutable election_running : bool;
-  mutable own_candidate : string option;
-  mutable leader_watch_armed : bool;
-  (* read path *)
-  mutable lease_disabled : bool;
-      (** runtime override forcing the unleased (quorum-guard) strong-read
-          path even when [Config.lease_fraction] > 0; a bench knob, so it
-          survives crashes like the config itself *)
-  mutable guard_seq : int;
-  guards : (int, pending_guard) Hashtbl.t;
-      (** outstanding read-index rounds, keyed by guard sequence number *)
-  mutable parked_reads : parked_read list;  (** newest first *)
-  reads : read_stats;
-  (* instrumentation *)
-  phases : Sim.Metrics.Write_phases.t;
-      (** per-phase write-path latencies for writes this cohort led *)
-  inflight_started : (Lsn.t, inflight) Hashtbl.t;
-      (** in-flight state of each leader-tracked write, keyed by its last LSN *)
-  (* transaction state (leader-scoped; rebuilt from store + queue on open) *)
-  locks : (Row.coord, string) Hashtbl.t;
-      (** base coordinate -> transaction holding a write intent there, granted
-          when the prepare is appended (before it commits — the queue overlay
-          alone cannot refuse a conflicting prepare racing in the same term) *)
-  pending_decisions : (string, bool * int) Hashtbl.t;
-      (** txn -> (commit, ts): decision appended this term, possibly not yet
-          applied; first decision wins even against a racing status query *)
-  resolving : (string, unit) Hashtbl.t;
-      (** txns whose resolve record is appended but not yet applied
-          (double-append guard for retried resolve requests) *)
-  mutable txn_sweep_armed : bool;  (** presumed-abort sweep timer running *)
-}
-
-(* Test-only fault plant: when set, followers ack (and advance lst over)
-   every LSN they appended, including writes sitting beyond a loss-induced
-   hole — the exact bug the hole-aware ack fixed. The shrinker test flips it
-   on to manufacture reproducible lost-acked-write failures and verify a
-   long chaos schedule shrinks to the few injections that matter. Never set
-   outside tests. *)
-let chaos_ack_past_holes = ref false
-
-let zk_prefix t = Printf.sprintf "/ranges/%d" t.ctx.range
-let zk_candidates t = zk_prefix t ^ "/candidates"
-let zk_leader t = zk_prefix t ^ "/leader"
-let zk_epoch t = zk_prefix t ^ "/epoch"
-
-let create ctx =
-  {
-    ctx;
-    role = Offline;
-    epoch = 0;
-    cmt = Lsn.zero;
-    lst = Lsn.zero;
-    queue = Commit_queue.create ();
-    leader = None;
-    open_for_writes = false;
-    active_followers = [];
-    pending_final = [];
-    takeover_pending = false;
-    takeover_open_at = Lsn.zero;
-    takeover_commit_wait = false;
-    waiting = [];
-    unproposed = [];
-    inflight_props = Queue.create ();
-    commit_timer_armed = false;
-    dedup = Hashtbl.create 64;
-    migration = None;
-    splitting = false;
-    catching_up = false;
-    learner = false;
-    snapshot_next = 0;
-    last_leader_msg = Sim.Sim_time.zero;
-    resync_armed = false;
-    ack_pending = None;
-    ack_timer_armed = false;
-    election_running = false;
-    own_candidate = None;
-    leader_watch_armed = false;
-    lease_disabled = false;
-    guard_seq = 0;
-    guards = Hashtbl.create 16;
-    parked_reads = [];
-    reads =
-      {
-        leased = 0;
-        guarded = 0;
-        lease_rejects = 0;
-        guard_fails = 0;
-        leader_timeline = 0;
-        follower_timeline = 0;
-        token_waits = 0;
-        token_redirects = 0;
-      };
-    phases = Sim.Metrics.Write_phases.create ();
-    inflight_started = Hashtbl.create 64;
-    locks = Hashtbl.create 16;
-    pending_decisions = Hashtbl.create 16;
-    resolving = Hashtbl.create 16;
-    txn_sweep_armed = false;
-  }
-
+let create = Cohort_state.create
+let dedup_window = Cohort_state.dedup_window
+let chaos_ack_past_holes = Cohort_replication.chaos_ack_past_holes
 let role t = t.role
 let leader_id t = t.leader
-let read_stats t = t.reads
-let set_lease_disabled t v = t.lease_disabled <- v
+let read_stats t = t.gate.stats
+let set_lease_disabled t v = t.gate.lease_disabled <- v
+let lease_valid = Cohort_read.lease_valid
 let epoch t = t.epoch
 let cmt t = t.cmt
 let lst t = t.lst
@@ -276,1579 +58,28 @@ let reply_cache_size t = Hashtbl.fold (fun _ ids n -> n + Int_map.cardinal ids) 
 let store t = t.ctx.store
 let is_learner t = t.learner
 let migrating t = Option.is_some t.migration
-
-let others t = List.filter (fun m -> m <> t.ctx.node_id) (t.ctx.members ())
-
-(* Cohort events are structured instants carrying node and cohort fields;
-   the "r%d n%d" detail prefix is kept for log readability and for existing
-   consumers that grep details. *)
-let tracing t = Sim.Trace.is_enabled t.ctx.trace
-
-let trace t tag detail =
-  if tracing t then
-    Sim.Trace.event t.ctx.trace ~node:t.ctx.node_id ~cohort:t.ctx.range ~tag
-      (Printf.sprintf "r%d n%d %s" t.ctx.range t.ctx.node_id detail)
-
-let span_start t ?trace_id ?lsn ~tag detail =
-  if tracing t then
-    Sim.Trace.span_start t.ctx.trace ?trace_id ~node:t.ctx.node_id ~cohort:t.ctx.range ?lsn
-      ~tag detail
-  else 0
-
-let span_end t ~span ?trace_id ?lsn ~tag detail =
-  if span <> 0 then
-    Sim.Trace.span_end t.ctx.trace ~span ?trace_id ~node:t.ctx.node_id ~cohort:t.ctx.range ?lsn
-      ~tag detail
-
-(* Schedule a callback that is dropped if the node crashed/restarted since. *)
-let after t span k =
-  let inc = t.ctx.incarnation () in
-  ignore
-    (Sim.Engine.schedule t.ctx.engine ~after:span (fun () ->
-         if t.ctx.incarnation () = inc && t.role <> Offline then k ()))
-
-(* Likewise for callbacks of asynchronous operations (log forces, ZK). *)
-let guard t k =
-  let inc = t.ctx.incarnation () in
-  fun x -> if t.ctx.incarnation () = inc && t.role <> Offline then k x
-
-let now_us t = Sim.Sim_time.time_to_us (Sim.Engine.now t.ctx.engine)
-
-(* Trace id for a Propose batch: the newest write in the batch that carries an
-   originating (client, request id). Tagging the batch's transit span with it
-   lets the causal analyzer charge the propose hop to that request; writes
-   without an origin (metadata records, rebuilt tails) leave the hop
-   untagged. *)
-let propose_trace_id t writes =
-  if tracing t then
-    match
-      List.fold_left
-        (fun acc (_, _, _, origin) -> match origin with Some _ -> origin | None -> acc)
-        None writes
-    with
-    | Some (client, request_id) -> Sim.Trace.request_trace_id ~client ~request_id
-    | None -> -1
-  else -1
-
-(* Sample one network hop into the write-phase transit histogram: messages
-   carry their send instant, so arrival minus [sent_at] is the measured
-   one-way wire time (propagation + serialization + queueing in the model). *)
-let record_transit t ~sent_at =
-  Sim.Metrics.Histogram.record_span t.phases.transit
-    (Sim.Sim_time.diff (Sim.Engine.now t.ctx.engine) sent_at)
-
-(* Forward reference: every path that makes this replica a follower must arm
-   the leader-liveness watch, but the watch function lives in the election
-   recursion (it triggers elections). Tied after that definition below. *)
-let arm_leader_watch : (t -> unit) ref = ref (fun _ -> ())
-
-(* Likewise for the follower re-sync machinery (it calls into the catch-up
-   request path, which lives in the same recursion). *)
-let arm_resync : (t -> unit) ref = ref (fun _ -> ())
-let trigger_resync : (t -> unit) ref = ref (fun _ -> ())
+let read_local t coord = Store.read t.ctx.store coord
+let write_phases t = t.phases
+let skipped_lsns t = Skipped_lsns.to_list (Store.skipped t.ctx.store)
+let request_join = Cohort_membership.request_join
+let request_split = Cohort_membership.request_split
+let start_learner = Cohort_membership.start_learner
 
 (* ------------------------------------------------------------------ *)
-(* Duplicate suppression: retried writes must be acked idempotently.    *)
-
-(* Request ids are per-client monotonic and retries only ever target recent
-   ids, so the cache keeps, per client, only the ids within [dedup_window] of
-   the newest it holds. A cohort sees only the ids of the writes routed to its
-   range, so the window is cut by id, not by evicting one fixed id. *)
-let dedup_window = 128
-
-let dedup_find t ~client ~request_id =
-  match Hashtbl.find_opt t.dedup client with
-  | Some ids -> Int_map.find_opt request_id ids
-  | None -> None
-
-let dedup_set t ~client ~request_id state =
-  let ids =
-    Int_map.add request_id state
-      (Option.value (Hashtbl.find_opt t.dedup client) ~default:Int_map.empty)
-  in
-  let newest, _ = Int_map.max_binding ids and oldest, _ = Int_map.min_binding ids in
-  let ids =
-    if oldest > newest - dedup_window then ids
-    else
-      let _, _, window = Int_map.split (newest - dedup_window) ids in
-      window
-  in
-  Hashtbl.replace t.dedup client ids
-
-let cache_outcome t origin reply =
-  match origin with
-  | None -> ()
-  | Some (client, request_id) -> dedup_set t ~client ~request_id (Done reply)
-
-let reply_write t ~client ~request_id reply =
-  cache_outcome t (Some (client, request_id)) reply;
-  t.ctx.reply ~client ~request_id reply
-
-let clear_in_flight t ~client ~request_id =
-  match Hashtbl.find_opt t.dedup client with
-  | Some ids -> (
-    match Int_map.find_opt request_id ids with
-    | Some In_flight ->
-      let ids = Int_map.remove request_id ids in
-      if Int_map.is_empty ids then Hashtbl.remove t.dedup client
-      else Hashtbl.replace t.dedup client ids
-    | _ -> ())
-  | None -> ()
-
-(* The settled-outcome reply for a committed record: a 2PC decision answers
-   with the outcome it recorded (a client retrying its decide after a
-   coordinator failover must learn commit/abort, not a bare LSN); every other
-   write acks [Written]. *)
-let reply_for_record (op : Log_record.op) ~lsn =
-  match op with
-  | Log_record.Txn_decision { commit; ts; _ } ->
-    Message.Txn_decided { committed = commit; ts }
-  | _ -> Message.Written { lsn }
-
-(* Re-learn committed outcomes from our own durable log: the max-lst election
-   rule (Figure 7) guarantees a new leader's log contains every committed
-   write, so this rebuild makes the leader-side duplicate cache complete even
-   across crashes and leader changes. Logically truncated LSNs never
-   committed and must not be remembered as done. *)
-let recache_outcomes_from_log t ~above ~upto =
-  List.iter
-    (fun (lsn, op, _, origin) ->
-      if not (Storage.Skipped_lsns.mem (Store.skipped t.ctx.store) lsn) then
-        cache_outcome t origin (reply_for_record op ~lsn))
-    (Wal.durable_writes_in t.ctx.wal ~cohort:t.ctx.range ~above ~upto)
-
-(* ------------------------------------------------------------------ *)
-(* Leader lease: implicit in the leader's ZK session. The lease is granted
-   by election (becoming leader requires a live session) and renewed by
-   every heartbeat; it is valid while the last successful contact with the
-   service is fresher than [lease_fraction] of the session timeout. The
-   margin argument: [last_contact] is a lower bound on when the server last
-   heard from this session, and the ZK client declares its own session dead
-   only after half the timeout of silence — which is what permits a
-   replacement election — so any fraction < 0.5 lapses strictly before a
-   new leader can exist anywhere. *)
-
-let leases_enabled t = t.ctx.config.Config.lease_fraction > 0.0 && not t.lease_disabled
-
-let lease_valid t =
-  let config = t.ctx.config in
-  let zk = t.ctx.zk () in
-  Coord.Zk_client.alive zk
-  &&
-  let held =
-    Sim.Sim_time.diff (Sim.Engine.now t.ctx.engine) (Coord.Zk_client.last_contact zk)
-  in
-  let lease_us =
-    config.Config.lease_fraction
-    *. float_of_int (Sim.Sim_time.to_us config.Config.session_timeout)
-  in
-  float_of_int (Sim.Sim_time.to_us held) < lease_us
-
-(* Re-check before a strong reply leaves: the request may have sat in the
-   CPU queue (or behind a read-index round) while this replica was deposed
-   or its lease lapsed. *)
-let strong_serve_ok t = t.role = Leader && ((not (leases_enabled t)) || lease_valid t)
-
-(* Serve every parked token read whose fence the applied commit point has
-   reached; called wherever cmt advances (commit, catch-up, snapshot). *)
-let flush_parked_reads t =
-  if t.parked_reads <> [] then begin
-    let ready, still =
-      List.partition (fun p -> Lsn.(p.p_token <= t.cmt)) (List.rev t.parked_reads)
-    in
-    t.parked_reads <- List.rev still;
-    List.iter
-      (fun p ->
-        if not p.p_done then begin
-          p.p_done <- true;
-          span_end t ~span:p.p_wait_span ~trace_id:p.p_trace_id ~tag:"read.wait_lsn"
-            "token reached";
-          p.p_serve ()
-        end)
-      ready
-  end
-
-(* Abandon every outstanding read-index round (stepdown, session expiry,
-   retirement): answer [Unavailable] so clients fail over immediately. *)
-let fail_guards t =
-  if Hashtbl.length t.guards > 0 then begin
-    let pending = Hashtbl.fold (fun seq g acc -> (seq, g) :: acc) t.guards [] in
-    Hashtbl.reset t.guards;
-    List.iter
-      (fun (_, g) ->
-        t.reads.guard_fails <- t.reads.guard_fails + 1;
-        span_end t ~span:g.g_span ~trace_id:g.g_trace_id ~tag:"read.guard" "abandoned";
-        t.ctx.reply ~client:g.g_client ~request_id:g.g_request_id Message.Unavailable)
-      (List.sort (fun (a, _) (b, _) -> compare a b) pending)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Version assignment: the leader serialises writes, so a coordinate's
-   current version is its committed version overlaid with still-pending
-   writes in the commit queue (§3, §5.1). *)
-
-let latest_version t coord =
-  match Commit_queue.latest_version_for t.queue coord with
-  | Some v -> v
-  | None -> Store.current_version t.ctx.store coord
-
-(* A transaction's decision, if one is on record: appended this term (the
-   in-memory table) or durably applied (the anchor's decision cell). *)
-let existing_decision t ~anchor ~txn =
-  match Hashtbl.find_opt t.pending_decisions txn with
-  | Some d -> Some d
-  | None -> (
-    match Store.get t.ctx.store (anchor, Row.decision_col txn) with
-    | Some { Row.value = Some payload; _ } -> Row.decode_decision payload
-    | _ -> None)
-
-(* Wrap a shipped cell for WAL append + apply on the receiving replica.
-   The cell goes in verbatim — reconstructing a Put/Delete would drop its
-   transactional commit-timestamp classification ([Row.cell.txn_ts]) and a
-   caught-up replica's snapshot reads could then expose half a transaction. *)
-let op_of_cell coord (cell : Row.cell) : Log_record.op =
-  Log_record.Install_cell { coord; cell }
-
-(* Fold an LSN-sorted shipped-cell list into ONE install op per LSN. The
-   WAL's LSN index treats a second record at an existing LSN as an
-   idempotent re-force and keeps the first record's op, so appending two
-   [Install_cell] records at one LSN (e.g. a Txn_resolve's data cell plus
-   its intent tombstone) would silently drop all but the first cell from
-   crash-recovery replay. *)
-let install_ops_by_lsn (cells : (Row.coord * Row.cell) list) :
-    (Lsn.t * int * Log_record.op) list =
-  let groups =
-    List.fold_left
-      (fun acc ((_, (cell : Row.cell)) as item) ->
-        match acc with
-        | (lsn, items) :: rest when Lsn.equal lsn cell.lsn -> (lsn, item :: items) :: rest
-        | _ -> (cell.Row.lsn, [ item ]) :: acc)
-      [] cells
-  in
-  List.rev_map
-    (fun (lsn, rev_items) ->
-      let items = List.rev rev_items in
-      let timestamp = match items with (_, (c : Row.cell)) :: _ -> c.timestamp | [] -> 0 in
-      let op =
-        match items with
-        | [ (coord, cell) ] -> op_of_cell coord cell
-        | _ -> Log_record.Batch (List.map (fun (coord, cell) -> op_of_cell coord cell) items)
-      in
-      (lsn, timestamp, op))
-    groups
-
-(* ------------------------------------------------------------------ *)
-(* Commit path (leader side of Figure 4).                               *)
-
-let rec try_commit t =
-  let committable =
-    Commit_queue.pop_committable t.queue ~acks_needed:(Config.majority t.ctx.config - 1)
-  in
-  List.iter
-    (fun (e : Commit_queue.entry) ->
-      (* Replication phase ends when the entry becomes commit-eligible; only
-         the last LSN of each leader-tracked request is in the table, so
-         takeover-rebuilt entries and batch prefixes record nothing. *)
-      let popped_at = Sim.Engine.now t.ctx.engine in
-      let tracked =
-        match Hashtbl.find_opt t.inflight_started e.Commit_queue.lsn with
-        | Some inf ->
-          Hashtbl.remove t.inflight_started e.lsn;
-          Sim.Metrics.Histogram.record_span t.phases.replication
-            (Sim.Sim_time.diff popped_at inf.started);
-          let lsn = if tracing t then Lsn.to_string e.lsn else "" in
-          span_end t ~span:inf.repl_span ~trace_id:inf.trace_id ~lsn ~tag:"phase.replication"
-            "commit eligible";
-          let apply_span = span_start t ~trace_id:inf.trace_id ~lsn ~tag:"phase.apply" "" in
-          Some (inf.trace_id, apply_span, lsn)
-        | None -> None
-      in
-      Store.apply t.ctx.store ~lsn:e.Commit_queue.lsn ~timestamp:e.timestamp e.op;
-      t.cmt <- Lsn.max t.cmt e.lsn;
-      if Log_record.is_meta e.op then on_meta t e.op;
-      (match e.reply with
-      | Some k -> k ()
-      | None ->
-        (* Entries rebuilt from the log during takeover carry no reply
-           closure but may carry an origin: answer the (possibly still
-           retrying) client and remember the outcome. *)
-        (match e.origin with
-        | Some (client, request_id) ->
-          reply_write t ~client ~request_id (reply_for_record e.op ~lsn:e.lsn)
-        | None -> ()));
-      txn_applied t e.op;
-      match tracked with
-      | Some (trace_id, apply_span, lsn) ->
-        span_end t ~span:apply_span ~trace_id ~lsn ~tag:"phase.apply" "applied and replied";
-        Sim.Metrics.Histogram.record_span t.phases.apply
-          (Sim.Sim_time.diff (Sim.Engine.now t.ctx.engine) popped_at)
-      | None -> ())
-    committable;
-  if committable <> [] then begin
-    retire_proposals t;
-    flush_parked_reads t
-  end;
-  if t.takeover_commit_wait && t.role = Leader && Lsn.(t.cmt >= t.takeover_open_at) then begin
-    t.takeover_commit_wait <- false;
-    trace t "takeover_commit_done" (Printf.sprintf "cmt=%s" (Lsn.to_string t.cmt));
-    open_cohort t
-  end
-
-(* Leader-side bookkeeping once a transaction record applies: a resolve
-   leaving the queue ends the double-append guard, and a durable decision no
-   longer needs its in-memory pending entry (the store's decision cell now
-   answers [existing_decision]). *)
-and txn_applied t (op : Log_record.op) =
-  match op with
-  | Log_record.Txn_resolve { txn; _ } -> Hashtbl.remove t.resolving txn
-  | Log_record.Txn_decision { txn; _ } -> Hashtbl.remove t.pending_decisions txn
-  | _ -> ()
-
-(* A committed metadata record (membership change or range split) takes
-   effect: node-level side effects first (routing table, child cohorts, layout
-   publication), then the cohort-local transitions. Runs on the leader inside
-   [try_commit] and on followers inside [apply_commits] — always in LSN order
-   relative to data records, which is what makes the swap atomic. *)
-and on_meta t op =
-  let leader = t.role = Leader in
-  t.ctx.apply_meta ~op ~leader;
-  match op with
-  | Log_record.Cohort_change { add; remove } ->
-    (match add with
-    | Some n when n = t.ctx.node_id ->
-      (* Promoted: this replica is now a full cohort member. *)
-      t.learner <- false;
-      trace t "learner_promoted" (Printf.sprintf "epoch=%d" t.epoch)
-    | _ -> ());
-    if leader then begin
-      (match remove with
-      | Some n ->
-        t.active_followers <- List.filter (fun f -> f <> n) t.active_followers;
-        t.pending_final <- List.filter (fun f -> f <> n) t.pending_final
-      | None -> ());
-      (match add with
-      | Some n when n <> t.ctx.node_id ->
-        if not (List.mem n t.active_followers) then
-          t.active_followers <- n :: t.active_followers
-      | _ -> ());
-      trace t "migration_done"
-        (Printf.sprintf "add=%s remove=%s"
-           (match add with Some n -> Printf.sprintf "n%d" n | None -> "-")
-           (match remove with Some n -> Printf.sprintf "n%d" n | None -> "-"));
-      t.migration <- None;
-      drain_waiting t
-    end
-  | Log_record.Split { at; new_range } ->
-    if leader then begin
-      trace t "split_done" (Printf.sprintf "at=%s child=r%d" at new_range);
-      t.splitting <- false;
-      drain_waiting t
-    end
-  | _ -> ()
-
-and send_commit_msgs t =
-  (* Sent even when nothing has committed yet: commit messages double as
-     leader heartbeats, which followers use to notice they are stranded
-     behind a lossy or partitioned link. *)
-  List.iter
-    (fun f ->
-      t.ctx.send ~dst:f
-        (Message.Commit { range = t.ctx.range; epoch = t.epoch; upto = t.cmt }))
-    t.active_followers;
-  (* Re-propose still-uncommitted entries: under loss a propose (or its ack)
-     may have vanished, and re-proposal is deduplicated by LSN at the
-     follower. The queue is empty or tiny at each tick in steady state. *)
-  let pending = Commit_queue.to_list t.queue in
-  if pending <> [] then begin
-    let writes =
-      List.map
-        (fun (e : Commit_queue.entry) -> (e.Commit_queue.lsn, e.op, e.timestamp, e.origin))
-        pending
-    in
-    let msg =
-      Message.Propose { range = t.ctx.range; epoch = t.epoch; writes; piggyback_cmt = None }
-    in
-    let trace_id = propose_trace_id t writes in
-    List.iter (fun f -> t.ctx.send ~trace_id ~dst:f msg) t.active_followers
-  end;
-  if Lsn.(t.cmt > Lsn.zero) then
-    (* The leader saves its last committed LSN with a non-forced log write,
-       for its own recovery (§5). *)
-    Wal.append t.ctx.wal (Log_record.commit_upto ~cohort:t.ctx.range t.cmt)
-
-and arm_commit_timer t =
-  if not t.commit_timer_armed then begin
-    t.commit_timer_armed <- true;
-    let rec tick () =
-      if t.role = Leader then begin
-        send_commit_msgs t;
-        after t t.ctx.config.Config.commit_period tick
-      end
-      else t.commit_timer_armed <- false
-    in
-    after t t.ctx.config.Config.commit_period tick
-  end
-
-and open_cohort t =
-  if not t.open_for_writes then begin
-    t.open_for_writes <- true;
-    trace t "cohort_open" (Printf.sprintf "epoch=%d lst=%s" t.epoch (Lsn.to_string t.lst));
-    rebuild_txn_locks t;
-    arm_commit_timer t;
-    arm_txn_sweep t;
-    drain_waiting t
-  end
-
-(* A new leader term inherits the transaction state its log implies: applied
-   intents lock their coordinates, and queued-but-unapplied prepare/resolve/
-   decision records (replayed in LSN order) adjust on top. Without this a
-   failed-over leader would grant conflicting prepares over live intents. *)
-and rebuild_txn_locks t =
-  Hashtbl.reset t.locks;
-  Hashtbl.reset t.resolving;
-  Hashtbl.reset t.pending_decisions;
-  List.iter
-    (fun (txn, _, coords) -> List.iter (fun c -> Hashtbl.replace t.locks c txn) coords)
-    (Store.live_intents t.ctx.store);
-  List.iter
-    (fun (e : Commit_queue.entry) ->
-      match e.op with
-      | Log_record.Txn_prepare { txn; writes; _ } ->
-        List.iter (fun (key, col, _) -> Hashtbl.replace t.locks (key, col) txn) writes
-      | Log_record.Txn_resolve { txn; writes; _ } ->
-        Hashtbl.replace t.resolving txn ();
-        List.iter (fun (key, col, _, _) -> Hashtbl.remove t.locks (key, col)) writes
-      | Log_record.Txn_decision { txn; commit; ts; _ } ->
-        Hashtbl.replace t.pending_decisions txn (commit, ts)
-      | _ -> ())
-    (Commit_queue.to_list t.queue)
-
-(* Presumed-abort sweep (leader-only): intents unresolved past
-   [txn_indoubt_after] escalate to the node, which asks the coordinator for
-   the outcome (logging an abort there if none exists) and resolves them. *)
-and arm_txn_sweep t =
-  if not t.txn_sweep_armed then begin
-    t.txn_sweep_armed <- true;
-    let rec tick () =
-      if t.role = Leader && t.open_for_writes then begin
-        let older_than = Sim.Sim_time.to_us t.ctx.config.Config.txn_indoubt_after in
-        List.iter
-          (fun (txn, anchor, key) ->
-            if not (Hashtbl.mem t.resolving txn) then begin
-              trace t "txn.indoubt" txn;
-              t.ctx.resolve_in_doubt ~txn ~anchor ~key
-            end)
-          (Store.in_doubt t.ctx.store ~now:(now_us t) ~older_than);
-        after t t.ctx.config.Config.txn_sweep_period tick
-      end
-      else t.txn_sweep_armed <- false
-    in
-    after t t.ctx.config.Config.txn_sweep_period tick
-  end
-
-and drain_waiting t =
-  if t.role = Leader && t.open_for_writes && t.pending_final = [] && not t.splitting then begin
-    let waiting = List.rev t.waiting in
-    t.waiting <- [];
-    (* Straight to [enqueue_write]: these already passed the duplicate gate
-       when they first arrived and hold an [In_flight] marker. *)
-    List.iter (fun w -> enqueue_write t ~client:w.client ~request_id:w.request_id w.op) waiting
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Write path (Figure 4): the leader appends and forces its log record,
-   and in parallel appends the write to the commit queue and proposes it
-   to the followers; it commits after its own force plus one ack.        *)
-
-and handle_write t ~client ~request_id op =
-  if t.role <> Leader then
-    t.ctx.reply ~client ~request_id (Message.Not_leader { hint = t.leader })
-  else begin
-    match dedup_find t ~client ~request_id with
-    | Some (Done reply) ->
-      (* A retry of a write that already settled (its reply was lost, or the
-         retry raced the reply): resend the original outcome verbatim rather
-         than applying the write twice. *)
-      t.ctx.reply ~client ~request_id reply
-    | Some In_flight ->
-      (* The original is still working through the pipeline; its own reply —
-         or the client's next retry once this one settles — answers. *)
-      ()
-    | None ->
-      dedup_set t ~client ~request_id In_flight;
-      enqueue_write t ~client ~request_id op
-  end
-
-and enqueue_write t ~client ~request_id op =
-  if (not t.open_for_writes) || t.pending_final <> [] || t.splitting then
-    (* Writes block during takeover, during the momentary window at the end
-       of a follower catch-up (§6.1), and while a range split is being
-       logged; they drain when the cohort (re)opens. *)
-    t.waiting <- { client; request_id; op } :: t.waiting
-  else begin
-    let arrived = Sim.Engine.now t.ctx.engine in
-    let service = Sim.Sim_time.of_us_f t.ctx.config.Config.write_service_us in
-    let trace_id = Sim.Trace.request_trace_id ~client ~request_id in
-    let queue_span =
-      if tracing t then
-        span_start t ~trace_id ~tag:"phase.queue" (Printf.sprintf "c%d#%d" client request_id)
-      else 0
-    in
-    Sim.Resource.submit t.ctx.cpu ~service
-      (guard t (fun () ->
-           span_end t ~span:queue_span ~trace_id ~tag:"phase.queue" "cpu granted";
-           if t.role = Leader && t.open_for_writes && t.pending_final = [] && not t.splitting
-           then perform_write t ~arrived ~client ~request_id op
-           else if t.role = Leader then
-             t.waiting <- { client; request_id; op } :: t.waiting
-           else begin
-             clear_in_flight t ~client ~request_id;
-             t.ctx.reply ~client ~request_id (Message.Not_leader { hint = t.leader })
-           end))
-  end
-
-and perform_write t ~arrived ~client ~request_id op =
-  if not (t.ctx.routes_here (Message.key_of_op op)) then begin
-    (* The layout moved while this write sat in the queue (a split committed
-       between arrival and service): it belongs to another cohort now, and
-       assigning it an LSN here would misfile it. The client refreshes its
-       routing table and retries at the owner. *)
-    clear_in_flight t ~client ~request_id;
-    t.ctx.reply ~client ~request_id (Message.Wrong_range { hint = None })
-  end
-  else perform_write_routed t ~arrived ~client ~request_id op
-
-and perform_write_routed t ~arrived ~client ~request_id op =
-  let ts = now_us t in
-  let locked coord =
-    Hashtbl.mem t.locks coord || Store.intent_txn_at t.ctx.store coord <> None
-  in
-  let plain_coords =
-    match op with
-    | Message.Put { key; col; _ }
-    | Message.Delete { key; col }
-    | Message.Conditional_put { key; col; _ }
-    | Message.Conditional_delete { key; col; _ } ->
-      [ (key, col) ]
-    | Message.Multi_put { key; cols } -> List.map (fun (col, _) -> (key, col)) cols
-    | Message.Multi_conditional_put { key; cols } ->
-      List.map (fun (col, _, _) -> (key, col)) cols
-    | Message.Txn_put { rows } -> List.map (fun (key, col, _) -> (key, col)) rows
-    | _ -> []
-  in
-  if List.exists locked plain_coords then begin
-    (* A plain write racing an unresolved 2PC intent on the same coordinate:
-       refuse rather than interleave with the prepare window (the intent's
-       final version and LSN are not yet fixed). The client backs off and
-       retries once the intent resolves. *)
-    clear_in_flight t ~client ~request_id;
-    t.ctx.reply ~client ~request_id Message.Unavailable
-  end
-  else begin
-  let ops_or_error : (Log_record.op list, int) result =
-    match op with
-    | Message.Put { key; col; value } ->
-      Ok [ Log_record.Put { key; col; value; version = latest_version t (key, col) + 1 } ]
-    | Message.Delete { key; col } ->
-      Ok [ Log_record.Delete { key; col; version = latest_version t (key, col) + 1 } ]
-    | Message.Multi_put { key; cols } ->
-      Ok
-        (List.map
-           (fun (col, value) ->
-             Log_record.Put { key; col; value; version = latest_version t (key, col) + 1 })
-           cols)
-    | Message.Conditional_put { key; col; value; expected } ->
-      (* Conditional put: executed only if the current version matches (§5.1). *)
-      let current = latest_version t (key, col) in
-      if current = expected then Ok [ Log_record.Put { key; col; value; version = current + 1 } ]
-      else Error current
-    | Message.Conditional_delete { key; col; expected } ->
-      let current = latest_version t (key, col) in
-      if current = expected then Ok [ Log_record.Delete { key; col; version = current + 1 } ]
-      else Error current
-    | Message.Multi_conditional_put { key; cols } -> (
-      let mismatched =
-        List.find_opt (fun (col, _, expected) -> latest_version t (key, col) <> expected) cols
-      in
-      match mismatched with
-      | Some (col, _, _) -> Error (latest_version t (key, col))
-      | None ->
-        Ok
-          (List.map
-             (fun (col, value, expected) ->
-               Log_record.Put { key; col; value; version = expected + 1 })
-             cols))
-    | Message.Txn_put { rows } ->
-      (* Multi-operation transaction (§8.2): bound to one log record, so the
-         batch is replicated, committed, and recovered all-or-nothing. *)
-      if not (List.for_all (fun (key, _, _) -> t.ctx.routes_here key) rows) then begin
-        reply_write t ~client ~request_id Message.Cross_range;
-        Ok []
-      end
-      else
-        Ok
-          [
-            Log_record.Batch
-              (List.map
-                 (fun (key, col, value) ->
-                   Log_record.Put { key; col; value; version = latest_version t (key, col) + 1 })
-                 rows);
-          ]
-    | Message.Txn_prepare_req { txn; anchor; fence; fence_ts; writes } ->
-      (* 2PC phase one: first-committer-wins conflict checks, then the write
-         intents replicate through this participant's Paxos log. Locks are
-         taken at append so a racing prepare in the same term cannot pass the
-         same checks before this one commits. *)
-      if writes = [] || not (List.for_all (fun (key, _, _) -> t.ctx.routes_here key) writes)
-      then begin
-        reply_write t ~client ~request_id Message.Cross_range;
-        Ok []
-      end
-      else begin
-        let conflicts (key, col, _) =
-          let coord = (key, col) in
-          (match Hashtbl.find_opt t.locks coord with
-          | Some owner -> not (String.equal owner txn)
-          | None -> false)
-          || (match Store.intent_txn_at t.ctx.store coord with
-             | Some owner -> not (String.equal owner txn)
-             | None -> false)
-          (* Any pending queued write on the coordinate will install a
-             version newer than our snapshot — conflict without waiting. *)
-          || Option.is_some (Commit_queue.latest_version_for t.queue coord)
-          || (match Store.head_info t.ctx.store coord with
-             | Some (_, Some committed_ts) -> committed_ts > fence_ts
-             | Some (head_lsn, None) -> Lsn.(head_lsn > fence)
-             | None -> false)
-        in
-        if List.exists conflicts writes then begin
-          reply_write t ~client ~request_id Message.Txn_conflict;
-          Ok []
-        end
-        else begin
-          List.iter (fun (key, col, _) -> Hashtbl.replace t.locks (key, col) txn) writes;
-          Ok [ Log_record.Txn_prepare { txn; anchor; fence; writes } ]
-        end
-      end
-    | Message.Txn_decide_req { txn; anchor; commit } -> (
-      match existing_decision t ~anchor ~txn with
-      | Some (committed, decided_ts) ->
-        (* First decision wins — a presumed-abort may already have beaten a
-           late commit request here; answer with what is on record. *)
-        reply_write t ~client ~request_id (Message.Txn_decided { committed; ts = decided_ts });
-        Ok []
-      | None ->
-        Hashtbl.replace t.pending_decisions txn (commit, ts);
-        Ok [ Log_record.Txn_decision { txn; anchor; commit; ts } ])
-    | Message.Txn_status_req { txn; anchor } -> (
-      match existing_decision t ~anchor ~txn with
-      | Some (committed, decided_ts) ->
-        reply_write t ~client ~request_id (Message.Txn_decided { committed; ts = decided_ts });
-        Ok []
-      | None ->
-        (* Presumed abort: no decision on record means the coordinator client
-           may have died before asking for one — log an abort so every
-           in-doubt participant converges on it. *)
-        Hashtbl.replace t.pending_decisions txn (false, ts);
-        Ok [ Log_record.Txn_decision { txn; anchor; commit = false; ts } ])
-    | Message.Txn_resolve_req { txn; key = _; commit; ts = decision_ts } ->
-      if Hashtbl.mem t.resolving txn then begin
-        (* A resolve record is already in flight this term; acknowledging is
-           safe — resolution is guaranteed by that record or, should a leader
-           change drop it, by the presumed-abort sweep. *)
-        reply_write t ~client ~request_id (Message.Written { lsn = t.cmt });
-        Ok []
-      end
-      else begin
-        match Store.intents_of t.ctx.store txn with
-        | [] ->
-          (* Already resolved (or the prepare never landed here): idempotent
-             success. *)
-          reply_write t ~client ~request_id (Message.Written { lsn = t.cmt });
-          Ok []
-        | intents ->
-          (* Resolve every intent the transaction holds in this range, not
-             just the addressed key: final cells are materialized here, at
-             append time, with concrete versions — so replicas and recovery
-             apply them like any other write. *)
-          let writes =
-            List.map
-              (fun ((key, col), value) -> (key, col, value, latest_version t (key, col) + 1))
-              intents
-          in
-          Hashtbl.replace t.resolving txn ();
-          List.iter (fun (key, col, _, _) -> Hashtbl.remove t.locks (key, col)) writes;
-          Ok [ Log_record.Txn_resolve { txn; commit; ts = decision_ts; writes } ]
-      end
-    | Message.Get _ | Message.Multi_get _ | Message.Scan _ | Message.Fence _
-    | Message.Snap_get _ ->
-      invalid_arg "perform_write: read operation"
-  in
-  match ops_or_error with
-  | Error current -> reply_write t ~client ~request_id (Message.Version_mismatch { current })
-  | Ok [] -> ()
-  | Ok ops ->
-    let lsns =
-      List.map
-        (fun op ->
-          let lsn = Lsn.make ~epoch:t.epoch ~seq:(t.lst.Lsn.seq + 1) in
-          t.lst <- lsn;
-          (lsn, op))
-        ops
-    in
-    let last_lsn = fst (List.nth lsns (List.length lsns - 1)) in
-    (* Only the last record of a multi-column transaction carries the client
-       reply and the originating (client, request id); the whole batch
-       commits together, so the last record settling settles the request. *)
-    let writes =
-      List.map
-        (fun (lsn, op) ->
-          let origin = if Lsn.equal lsn last_lsn then Some (client, request_id) else None in
-          (lsn, op, ts, origin))
-        lsns
-    in
-    List.iter
-      (fun (lsn, op, timestamp, origin) ->
-        let reply =
-          if Lsn.equal lsn last_lsn then
-            Some (fun () -> reply_write t ~client ~request_id (reply_for_record op ~lsn))
-          else None
-        in
-        Commit_queue.add t.queue ~lsn ~op ~timestamp ?origin ?reply ();
-        Wal.append t.ctx.wal (Log_record.write ~cohort:t.ctx.range ~lsn ~timestamp ?origin op))
-      writes;
-    let started = Sim.Engine.now t.ctx.engine in
-    Sim.Metrics.Histogram.record_span t.phases.queue (Sim.Sim_time.diff started arrived);
-    let trace_id = Sim.Trace.request_trace_id ~client ~request_id in
-    let lsn = if tracing t then Lsn.to_string last_lsn else "" in
-    let force_span = span_start t ~trace_id ~lsn ~tag:"phase.force" "" in
-    let repl_span = span_start t ~trace_id ~lsn ~tag:"phase.replication" "" in
-    Hashtbl.replace t.inflight_started last_lsn { started; trace_id; repl_span };
-    (* Log force and propose happen in parallel (Figure 4). *)
-    Wal.force t.ctx.wal
-      (guard t (fun () ->
-           Sim.Metrics.Histogram.record_span t.phases.force
-             (Sim.Sim_time.diff (Sim.Engine.now t.ctx.engine) started);
-           span_end t ~span:force_span ~trace_id ~lsn ~tag:"phase.force" "locally durable";
-           Commit_queue.mark_forced_upto t.queue last_lsn;
-           try_commit t));
-    propose t writes
-  end
-
-and propose_now t writes =
-  let piggyback_cmt =
-    if t.ctx.config.Config.piggyback_commits && Lsn.(t.cmt > Lsn.zero) then Some t.cmt
-    else None
-  in
-  let msg = Message.Propose { range = t.ctx.range; epoch = t.epoch; writes; piggyback_cmt } in
-  let trace_id = propose_trace_id t writes in
-  List.iter (fun f -> t.ctx.send ~trace_id ~dst:f msg) t.active_followers
-
-(* Replication pipelining ("Paxos in the Cloud"): with a finite window, at
-   most [pipeline_depth] Propose batches may be awaiting commit; writes that
-   arrive while the window is full accumulate and ship as one batched
-   Propose when a slot frees. Depth 0 keeps the historical behavior — every
-   write proposed the moment it is appended, unbounded. Held-back writes are
-   already in the commit queue and the WAL, so the periodic re-propose tick
-   still guarantees delivery if acks stall. *)
-and propose t writes =
-  if t.ctx.config.Config.pipeline_depth <= 0 then propose_now t writes
-  else begin
-    t.unproposed <- List.rev_append writes t.unproposed;
-    pump_proposals t
-  end
-
-and pump_proposals t =
-  if
-    Queue.length t.inflight_props < t.ctx.config.Config.pipeline_depth
-    && t.unproposed <> []
-  then begin
-    let batch = List.rev t.unproposed in
-    t.unproposed <- [];
-    let highest =
-      List.fold_left (fun acc (lsn, _, _, _) -> Lsn.max acc lsn) Lsn.zero batch
-    in
-    Queue.push highest t.inflight_props;
-    propose_now t batch
-  end
-
-(* Retire committed Propose batches and refill the window; called whenever
-   cmt advances on the leader. *)
-and retire_proposals t =
-  if t.ctx.config.Config.pipeline_depth > 0 then begin
-    while
-      (not (Queue.is_empty t.inflight_props)) && Lsn.(Queue.peek t.inflight_props <= t.cmt)
-    do
-      ignore (Queue.pop t.inflight_props)
-    done;
-    pump_proposals t
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Read path (§5): strong reads are served by the leader — locally under a
-   live lease, behind a read-index quorum round when leases are off, never
-   once the lease has lapsed. Timeline reads are served by any live replica;
-   a read-your-writes token parks them until the replica has applied the
-   client's own writes.                                                  *)
-
-(* Shared consistency gate for point reads and scans. [submit] serves the
-   request (probing storage and paying the CPU cost); [finish] answers with
-   a refusal reply, closing the request's [phase.read] span either way. *)
-and gate_read t ~client ~request_id ~consistent ~token ~trace_id ~finish ~submit =
-  if consistent then begin
-    if t.role <> Leader then finish (Message.Not_leader { hint = t.leader })
-    else if not t.open_for_writes then finish Message.Unavailable
-    else if leases_enabled t then begin
-      let ok = lease_valid t in
-      trace t "lease.check" (if ok then "ok" else "lapsed");
-      if ok then begin
-        t.reads.leased <- t.reads.leased + 1;
-        submit ()
-      end
-      else begin
-        (* The correctness half of the lease: a leader that cannot prove its
-           session fresh may already be deposed on the far side of a
-           partition, so it must refuse rather than risk a stale "strong"
-           read. No hint — we genuinely do not know who leads. *)
-        t.reads.lease_rejects <- t.reads.lease_rejects + 1;
-        finish (Message.Not_leader { hint = None })
-      end
-    end
-    else begin
-      (* Unleased: a read-index round. The reply is built only after a
-         majority of followers confirm our epoch is still current; quorum
-         intersection with any takeover quorum means no replacement leader
-         can have committed anything yet. *)
-      let seq = t.guard_seq in
-      t.guard_seq <- seq + 1;
-      let gspan =
-        if tracing t then
-          span_start t ~trace_id ~tag:"read.guard" (Printf.sprintf "#%d" seq)
-        else 0
-      in
-      let g =
-        {
-          g_client = client;
-          g_request_id = request_id;
-          g_serve =
-            (fun () ->
-              t.reads.guarded <- t.reads.guarded + 1;
-              submit ());
-          g_acks = [];
-          g_span = gspan;
-          g_trace_id = trace_id;
-        }
-      in
-      Hashtbl.replace t.guards seq g;
-      let msg = Message.Read_guard { range = t.ctx.range; epoch = t.epoch; seq } in
-      List.iter (fun f -> t.ctx.send ~trace_id ~dst:f msg) t.active_followers;
-      after t (Sim.Sim_time.span_scale t.ctx.config.Config.client_timeout 0.5) (fun () ->
-          if Hashtbl.mem t.guards seq then begin
-            Hashtbl.remove t.guards seq;
-            t.reads.guard_fails <- t.reads.guard_fails + 1;
-            span_end t ~span:gspan ~trace_id ~tag:"read.guard" "no quorum; timeout";
-            finish Message.Unavailable
-          end)
-    end
-  end
-  else if t.role = Offline then
-    (* A live node still addressed for a cohort it no longer serves must say
-       so: silence would burn the client's full retry timeout. *)
-    finish Message.Unavailable
-  else begin
-    let serve_timeline () =
-      (if t.role = Leader then t.reads.leader_timeline <- t.reads.leader_timeline + 1
-       else t.reads.follower_timeline <- t.reads.follower_timeline + 1);
-      submit ()
-    in
-    if Lsn.(token > Lsn.zero) && Lsn.(t.cmt < token) then begin
-      (* Read-your-writes: hold the read until our applied prefix covers the
-         client's last acked write, bounded by the staleness deadline. *)
-      t.reads.token_waits <- t.reads.token_waits + 1;
-      let wait_span =
-        if tracing t then
-          span_start t ~trace_id ~lsn:(Lsn.to_string token) ~tag:"read.wait_lsn"
-            (Printf.sprintf "cmt=%s token=%s" (Lsn.to_string t.cmt) (Lsn.to_string token))
-        else 0
-      in
-      let p =
-        {
-          p_client = client;
-          p_request_id = request_id;
-          p_token = token;
-          p_serve = serve_timeline;
-          p_done = false;
-          p_wait_span = wait_span;
-          p_trace_id = trace_id;
-        }
-      in
-      t.parked_reads <- p :: t.parked_reads;
-      after t t.ctx.config.Config.read_lsn_wait (fun () ->
-          if not p.p_done then begin
-            p.p_done <- true;
-            t.parked_reads <- List.filter (fun q -> not (q == p)) t.parked_reads;
-            t.reads.token_redirects <- t.reads.token_redirects + 1;
-            span_end t ~span:wait_span ~trace_id ~tag:"read.wait_lsn"
-              "staleness bound; redirecting to leader";
-            finish (Message.Not_leader { hint = t.leader })
-          end)
-    end
-    else serve_timeline ()
-  end
-
-(* Probe storage at serve time: the outcome decides the modeled CPU cost — a
-   row-cache hit is a hash lookup, a miss pays the base cost plus one probe
-   charge per SSTable actually binary-searched (bloom/LSN-pruned tables are
-   free). The reply carries the probed values after that service time; the
-   read thus linearizes at its probe instant, inside the request window
-   (arrival for leased and timeline reads, quorum confirmation for guarded
-   ones, token arrival for parked ones). *)
-and handle_read t ~client ~request_id ~consistent ~token ~key ~cols ~single =
-  let config = t.ctx.config in
-  let probe_cost = ref 0.0 in
-  (* Probes one column; the service charge accumulates in [probe_cost] so the
-     single-column path (every point read) builds no intermediate pairs. *)
-  let probe_value col =
-    let cell, cost = Store.get_profiled t.ctx.store (key, col) in
-    let value =
-      match cell with
-      | Some c when not (Row.is_tombstone c) ->
-        Message.{ value = c.Row.value; version = c.Row.version }
-      | Some c -> Message.{ value = None; version = c.Row.version }
-      | None -> Message.{ value = None; version = 0 }
-    in
-    (probe_cost :=
-       !probe_cost
-       +.
-       match cost with
-       | Store.Cache_hit -> config.Config.read_cache_hit_service_us
-       | Store.Probed probed ->
-         config.Config.read_service_us
-         +. (float_of_int probed *. config.Config.read_probe_service_us));
-    value
-  in
-  let trace_id = if tracing t then Sim.Trace.request_trace_id ~client ~request_id else -1 in
-  let read_span =
-    if tracing t then
-      span_start t ~trace_id ~tag:"phase.read"
-        (Printf.sprintf "c%d#%d%s" client request_id (if consistent then " strong" else ""))
-    else 0
-  in
-  let finish reply =
-    span_end t ~span:read_span ~trace_id ~tag:"phase.read" "replied";
-    t.ctx.reply ~client ~request_id reply
-  in
-  let serve_reply reply =
-    guard t (fun () ->
-        if consistent && not (strong_serve_ok t) then
-          (* Deposed — or the lease lapsed — while the request sat in the
-             CPU queue. *)
-          finish (Message.Not_leader { hint = t.leader })
-        else finish reply)
-  in
-  (* The single-column case — every point read — skips the per-column lists. *)
-  let submit () =
-    match cols with
-    | [ col ] when single ->
-      let v = probe_value col in
-      Sim.Resource.submit t.ctx.cpu
-        ~service:(Sim.Sim_time.of_us_f !probe_cost)
-        (serve_reply (Message.Value v))
-    | _ ->
-      let values = List.map (fun col -> (col, probe_value col)) cols in
-      let service = Sim.Sim_time.of_us_f !probe_cost in
-      let reply =
-        match values with
-        | [ (_, v) ] when single -> Message.Value v
-        | vs -> Message.Values vs
-      in
-      Sim.Resource.submit t.ctx.cpu ~service (serve_reply reply)
-  in
-  gate_read t ~client ~request_id ~consistent ~token ~trace_id ~finish ~submit
-
-(* Range scan over this cohort's slice of the window (§3's data model is
-   range-partitioned precisely so scans stay local to consecutive cohorts;
-   the client stitches ranges together). Same consistency gating as reads. *)
-and handle_scan t ~client ~request_id ~start_key ~end_key ~limit ~consistent ~token =
-  let trace_id = if tracing t then Sim.Trace.request_trace_id ~client ~request_id else -1 in
-  let read_span =
-    if tracing t then
-      span_start t ~trace_id ~tag:"phase.read" (Printf.sprintf "c%d#%d scan" client request_id)
-    else 0
-  in
-  let finish reply =
-    span_end t ~span:read_span ~trace_id ~tag:"phase.read" "replied";
-    t.ctx.reply ~client ~request_id reply
-  in
-  let serve =
-    guard t (fun () ->
-        if consistent && not (strong_serve_ok t) then
-          finish (Message.Not_leader { hint = t.leader })
-        else begin
-          let range_lo, range_hi = t.ctx.range_bounds () in
-          let low = if String.compare start_key range_lo > 0 then start_key else range_lo in
-          let high = if String.compare end_key range_hi < 0 then end_key else range_hi in
-          let rows =
-            if String.compare low high >= 0 then []
-            else Store.scan t.ctx.store ~low ~high ~limit
-          in
-          let rows =
-            List.map
-              (fun (key, cols) ->
-                ( key,
-                  List.map
-                    (fun (col, (cell : Row.cell)) ->
-                      (col, Message.{ value = cell.value; version = cell.version }))
-                    cols ))
-              rows
-          in
-          let next =
-            if String.compare range_hi end_key < 0 then Some range_hi else None
-          in
-          finish (Message.Rows { rows; next })
-        end)
-  in
-  let service = Sim.Sim_time.of_us_f t.ctx.config.Config.read_service_us in
-  let submit () = Sim.Resource.submit t.ctx.cpu ~service serve in
-  gate_read t ~client ~request_id ~consistent ~token ~trace_id ~finish ~submit
-
-(* Snapshot anchor capture: a strong read of (cmt, now) under the full
-   lease/guard gate, re-validated at the CPU grant — the linearization point
-   of a multi-range snapshot in this range. Everything committed here before
-   this instant has [lsn <= cmt]; every transaction that commits with
-   [commit_ts <= ts] prepared here before this instant (its prepare committed
-   before its decision was timestamped), so its intent or final cell is at or
-   below the fence. *)
-and handle_fence t ~client ~request_id =
-  let trace_id = if tracing t then Sim.Trace.request_trace_id ~client ~request_id else -1 in
-  let read_span =
-    if tracing t then
-      span_start t ~trace_id ~tag:"phase.read" (Printf.sprintf "c%d#%d fence" client request_id)
-    else 0
-  in
-  let finish reply =
-    span_end t ~span:read_span ~trace_id ~tag:"phase.read" "replied";
-    t.ctx.reply ~client ~request_id reply
-  in
-  let submit () =
-    let service = Sim.Sim_time.of_us_f t.ctx.config.Config.read_cache_hit_service_us in
-    Sim.Resource.submit t.ctx.cpu ~service
-      (guard t (fun () ->
-           if not (strong_serve_ok t) then finish (Message.Not_leader { hint = t.leader })
-           else begin
-             finish (Message.Fenced { lsn = t.cmt; ts = now_us t })
-           end))
-  in
-  gate_read t ~client ~request_id ~consistent:true ~token:Lsn.zero ~trace_id ~finish ~submit
-
-(* MVCC snapshot read: served by any replica via the timeline gate, parked on
-   the fence LSN as its read-your-writes token — once the applied prefix
-   covers the fence, interval visibility against (fence, fence_ts) is
-   well-defined locally. *)
-and handle_snap_get t ~client ~request_id ~key ~col ~fence ~fence_ts =
-  let trace_id = if tracing t then Sim.Trace.request_trace_id ~client ~request_id else -1 in
-  let read_span =
-    if tracing t then
-      span_start t ~trace_id ~tag:"phase.read" (Printf.sprintf "c%d#%d snap" client request_id)
-    else 0
-  in
-  let finish reply =
-    span_end t ~span:read_span ~trace_id ~tag:"phase.read" "replied";
-    t.ctx.reply ~client ~request_id reply
-  in
-  let submit () =
-    let service = Sim.Sim_time.of_us_f t.ctx.config.Config.read_service_us in
-    Sim.Resource.submit t.ctx.cpu ~service
-      (guard t (fun () ->
-           let result = Store.snapshot_get t.ctx.store (key, col) ~fence ~fence_ts in
-           let reply =
-             match result with
-             | Store.Snap_blocked txn -> Message.Snap_blocked { txn }
-             | Store.Snap_cell c when not (Row.is_tombstone c) ->
-               Message.Value { value = c.Row.value; version = c.Row.version }
-             | Store.Snap_cell c -> Message.Value { value = None; version = c.Row.version }
-             | Store.Snap_none -> Message.Value { value = None; version = 0 }
-           in
-           finish reply))
-  in
-  gate_read t ~client ~request_id ~consistent:false ~token:fence ~trace_id ~finish ~submit
-
-and handle_client t ~client ~request_id op =
-  match op with
-  | Message.Get { key; col; consistent; token } ->
-    handle_read t ~client ~request_id ~consistent ~token ~key ~cols:[ col ] ~single:true
-  | Message.Multi_get { key; cols; consistent; token } ->
-    handle_read t ~client ~request_id ~consistent ~token ~key ~cols ~single:false
-  | Message.Scan { start_key; end_key; limit; consistent; token } ->
-    handle_scan t ~client ~request_id ~start_key ~end_key ~limit ~consistent ~token
-  | Message.Fence _ -> handle_fence t ~client ~request_id
-  | Message.Snap_get { key; col; fence; fence_ts } ->
-    handle_snap_get t ~client ~request_id ~key ~col ~fence ~fence_ts
-  | _ -> handle_write t ~client ~request_id op
-
-(* ------------------------------------------------------------------ *)
-(* Follower side of Figure 4.                                           *)
-
-(* Leader traffic accepted: note the contact (for stranding detection) and,
-   if we were mid-election, abandon it — a live leader exists. *)
-let accept_leader t ~src ~epoch =
-  if epoch > t.epoch then t.epoch <- epoch;
-  if t.role = Candidate then begin
-    t.role <- Follower;
-    t.election_running <- false
-  end;
-  t.leader <- Some src;
-  t.last_leader_msg <- Sim.Engine.now t.ctx.engine;
-  !arm_leader_watch t;
-  !arm_resync t
-
-(* Apply the committed prefix. The network can lose proposes, so only the
-   seq-contiguous prefix of the queue may be applied; a hole means a propose
-   vanished in flight and everything beyond it must wait for a re-proposal
-   or an explicit catch-up. Our own durable log records inside the newly
-   committed window that did not commit (discarded by a leader change and
-   never re-proposed) are logically truncated so local recovery skips them
-   (§6.1.1). *)
-let apply_commits t ~upto =
-  if Lsn.(upto > t.cmt) then begin
-    let old_cmt = t.cmt in
-    let entries = Commit_queue.pop_contiguous t.queue ~from:t.cmt ~upto in
-    List.iter
-      (fun (e : Commit_queue.entry) ->
-        Store.apply t.ctx.store ~lsn:e.Commit_queue.lsn ~timestamp:e.timestamp e.op;
-        t.cmt <- Lsn.max t.cmt e.lsn;
-        cache_outcome t e.origin (reply_for_record e.op ~lsn:e.lsn);
-        if Log_record.is_meta e.op then on_meta t e.op)
-      entries;
-    (* The commit point can pass appended-but-not-yet-locally-forced entries
-       (they are globally committed); lst must never trail cmt. *)
-    t.lst <- Lsn.max t.lst t.cmt;
-    if entries <> [] then begin
-      if tracing t then
-        Sim.Trace.event t.ctx.trace ~node:t.ctx.node_id ~cohort:t.ctx.range
-          ~lsn:(Lsn.to_string t.cmt) ~tag:"follower.apply"
-          (Printf.sprintf "r%d n%d applied %d upto %s" t.ctx.range t.ctx.node_id
-             (List.length entries) (Lsn.to_string t.cmt));
-      let applied = List.map (fun (e : Commit_queue.entry) -> e.Commit_queue.lsn) entries in
-      let own = Store.durable_write_lsns_in t.ctx.store ~above:old_cmt ~upto:t.cmt in
-      let stale = List.filter (fun l -> not (List.exists (Lsn.equal l) applied)) own in
-      if stale <> [] then begin
-        Skipped_lsns.add (Store.skipped t.ctx.store) stale;
-        trace t "logical_truncation" (String.concat "," (List.map Lsn.to_string stale))
-      end;
-      Wal.append t.ctx.wal (Log_record.commit_upto ~cohort:t.ctx.range t.cmt)
-    end;
-    flush_parked_reads t;
-    if Lsn.(t.cmt < upto) then begin
-      trace t "commit_gap"
-        (Printf.sprintf "cmt=%s committed=%s" (Lsn.to_string t.cmt) (Lsn.to_string upto));
-      !trigger_resync t
-    end
-  end
-
-(* Cumulative acks coalesce ([Config.ack_coalesce] > 0): instead of one Ack
-   per Propose, note the newest contiguous-forced prefix and answer once per
-   coalescing window. Acks are cumulative, so sending only the latest value
-   loses nothing; the window only defers when the leader learns it. *)
-let send_ack_now t ~dst ~upto ~trace_id =
-  t.ctx.send ~trace_id ~dst (Message.Ack { range = t.ctx.range; from = t.ctx.node_id; upto })
-
-let flush_ack t =
-  t.ack_timer_armed <- false;
-  match t.ack_pending with
-  | Some (dst, upto, trace_id) ->
-    t.ack_pending <- None;
-    if t.role = Follower then send_ack_now t ~dst ~upto ~trace_id
-  | None -> ()
-
-let send_or_coalesce_ack t ~dst ~upto ~trace_id =
-  let window = t.ctx.config.Config.ack_coalesce in
-  if Sim.Sim_time.span_compare window Sim.Sim_time.span_zero <= 0 then
-    send_ack_now t ~dst ~upto ~trace_id
-  else begin
-    (* Latest leader wins the destination; upto is monotone under Lsn.max,
-       and the trace id travels with whichever upto wins (the coalesced ack
-       is causally the newest covered write's ack; earlier requests it also
-       covers see the coalescing delay as ack wait). *)
-    let upto, trace_id =
-      match t.ack_pending with
-      | Some (_, prev, prev_tid) ->
-        if Lsn.(upto >= prev) then (upto, trace_id) else (prev, prev_tid)
-      | None -> (upto, trace_id)
-    in
-    t.ack_pending <- Some (dst, upto, trace_id);
-    if not t.ack_timer_armed then begin
-      t.ack_timer_armed <- true;
-      after t window (fun () -> flush_ack t)
-    end
-  end
-
-let handle_propose t ~src ~sent_at ~epoch ~writes ~piggyback_cmt =
-  if epoch >= t.epoch && t.role <> Offline && t.role <> Leader then begin
-    accept_leader t ~src ~epoch;
-    record_transit t ~sent_at;
-    (* Writes at or below the commit point are known-committed duplicates;
-       anything above it goes through the normal protocol — append, force,
-       ack (Figure 4). Retransmissions (takeover re-proposals, Figure 6 line
-       9, and the leader's periodic re-proposes under loss) are deduplicated
-       by LSN so the log is not polluted with copies. *)
-    let appended = ref [] in
-    let newest_origin = ref None in
-    List.iter
-      (fun (lsn, op, timestamp, origin) ->
-        if Lsn.(lsn > t.cmt) then begin
-          if not (Commit_queue.mem t.queue lsn) then begin
-            Commit_queue.add t.queue ~lsn ~op ~timestamp ?origin ();
-            Wal.append t.ctx.wal (Log_record.write ~cohort:t.ctx.range ~lsn ~timestamp ?origin op);
-            appended := lsn :: !appended;
-            if origin <> None then newest_origin := origin
-          end
-        end)
-      writes;
-    let force_tid =
-      match !newest_origin with
-      | Some (client, request_id) when tracing t ->
-        Sim.Trace.request_trace_id ~client ~request_id
-      | _ -> -1
-    in
-    let force_span =
-      if !appended <> [] then span_start t ~trace_id:force_tid ~tag:"follower.force" ""
-      else 0
-    in
-    let ack () =
-      span_end t ~span:force_span ~trace_id:force_tid ~tag:"follower.force" "locally durable";
-      (* Mark exactly what this propose appended as forced (a concurrent
-         retransmission may have back-filled an older LSN whose force is
-         still in flight), then ack only the seq-contiguous forced prefix:
-         with loss, later writes can sit beyond a hole, and acking past the
-         hole would let the leader count durability we do not have. *)
-      List.iter (fun lsn -> Commit_queue.mark_forced t.queue lsn) !appended;
-      let upto =
-        if !chaos_ack_past_holes then
-          (* Planted bug (see the flag's comment): claim everything appended,
-             holes and all. *)
-          List.fold_left Lsn.max t.cmt !appended
-        else
-          match Commit_queue.contiguous_forced_upto t.queue ~from:t.cmt with
-          | Some lsn -> lsn
-          | None -> t.cmt
-      in
-      (* lst advances only along this same contiguous forced prefix: it is
-         what we advertise in elections (Figure 7) and takeover replies, so
-         it must never claim sequence numbers beyond a hole — a candidate
-         missing a committed write could otherwise out-bid the replica that
-         actually has it, and the write would be logically truncated away. *)
-      t.lst <- Lsn.max t.lst upto;
-      if Lsn.(upto > Lsn.zero) then begin
-        (* Tag the ack with the newest covered write's request, read from the
-           queue entry at the acked point — cumulative acks answer the whole
-           forced prefix, and that entry's commit is what the ack unblocks. *)
-        let trace_id =
-          if tracing t then
-            match Commit_queue.origin_at t.queue upto with
-            | Some (client, request_id) -> Sim.Trace.request_trace_id ~client ~request_id
-            | None -> -1
-          else -1
-        in
-        send_or_coalesce_ack t ~dst:src ~upto ~trace_id
-      end
-    in
-    if !appended <> [] then Wal.force t.ctx.wal (guard t ack) else ack ();
-    match piggyback_cmt with
-    | Some upto -> apply_commits t ~upto
-    | None -> ()
-  end
-
-let handle_commit t ~src ~epoch ~upto =
-  if epoch >= t.epoch && t.role <> Offline && t.role <> Leader then begin
-    accept_leader t ~src ~epoch;
-    apply_commits t ~upto
-  end
-
-(* Follower side of a read-index round: confirm the asking leader's epoch is
-   still the newest we know. The epoch is re-checked when the CPU grants the
-   ack — if a takeover query bumped our epoch while the guard sat in the
-   queue, acking would hand the deposed leader a quorum it no longer has. *)
-let handle_guard t ~src ~epoch ~seq =
-  if epoch >= t.epoch && t.role <> Offline && t.role <> Leader then begin
-    accept_leader t ~src ~epoch;
-    let service = Sim.Sim_time.of_us_f t.ctx.config.Config.read_guard_service_us in
-    Sim.Resource.submit t.ctx.cpu ~service
-      (guard t (fun () ->
-           if t.role = Follower && epoch >= t.epoch then
-             t.ctx.send ~dst:src
-               (Message.Read_guard_ack { range = t.ctx.range; from = t.ctx.node_id; seq })))
-  end
-
-(* Leader side: a guard completes on its [majority - 1]'th distinct member
-   ack (the leader itself is the quorum's last member). Ack bookkeeping runs
-   through the leader's CPU: read-index rounds are not free for the leader —
-   every guarded read costs it one ack-processing slot per responding
-   follower, which is exactly why the lease pays off at saturation. *)
-let handle_guard_ack t ~from ~seq =
-  let service = Sim.Sim_time.of_us_f t.ctx.config.Config.read_guard_service_us in
-  Sim.Resource.submit t.ctx.cpu ~service
-    (guard t (fun () ->
-         if t.role = Leader && List.mem from (t.ctx.members ()) then
-           match Hashtbl.find_opt t.guards seq with
-           | Some g when not (List.mem from g.g_acks) ->
-             g.g_acks <- from :: g.g_acks;
-             if List.length g.g_acks >= Config.majority t.ctx.config - 1 then begin
-               Hashtbl.remove t.guards seq;
-               span_end t ~span:g.g_span ~trace_id:g.g_trace_id ~tag:"read.guard"
-                 "quorum confirmed";
-               g.g_serve ()
-             end
-           | _ -> ()))
-
-(* ------------------------------------------------------------------ *)
-(* Metadata records: membership changes and range splits ride the same
-   Paxos-replicated log as data writes, so every replica applies them at
-   the same point in the LSN order (§10).                               *)
-
-(* Leader-only: append a metadata record to the log and replicate it like any
-   write — forced locally, proposed to the followers, committed by the usual
-   majority rule (the OLD configuration's majority: acks are filtered by
-   membership, so a not-yet-promoted learner cannot help commit the very
-   record that promotes it). *)
-let enqueue_meta t op =
-  let ts = now_us t in
-  let lsn = Lsn.make ~epoch:t.epoch ~seq:(t.lst.Lsn.seq + 1) in
-  t.lst <- lsn;
-  trace t "meta_append"
-    (Format.asprintf "%s %a" (Lsn.to_string lsn) Log_record.pp
-       (Log_record.write ~cohort:t.ctx.range ~lsn ~timestamp:ts op));
-  Commit_queue.add t.queue ~lsn ~op ~timestamp:ts ();
-  Wal.append t.ctx.wal (Log_record.write ~cohort:t.ctx.range ~lsn ~timestamp:ts op);
-  Wal.force t.ctx.wal
-    (guard t (fun () ->
-         Commit_queue.mark_forced_upto t.queue lsn;
-         try_commit t));
-  propose t [ (lsn, op, ts, None) ]
-
-(* ------------------------------------------------------------------ *)
-(* Catch-up: leader side (§6.1 and Figure 6 lines 3-7).                 *)
-
-(* Catch-up is served to cohort members and to the joiner of an in-flight
-   migration. A replica that was migrated away could otherwise keep asking
-   and, via [pending_final], block writes forever; it learns its fate from
-   the published layout instead. *)
-let catchup_eligible t ~follower =
-  List.mem follower (t.ctx.members ())
-  || (match t.migration with Some m -> m.joiner = follower | None -> false)
-
-(* Bring [follower], whose last committed LSN is [f_cmt], up to the leader's
-   last committed LSN. Writes are blocked for the duration of the (short)
-   final round so the follower is fully caught up when it completes. *)
-let leader_run_catchup t ~follower ~f_cmt =
-  if t.role = Leader && catchup_eligible t ~follower then begin
-    t.active_followers <- List.filter (fun f -> f <> follower) t.active_followers;
-    if not (List.mem follower t.pending_final) then
-      t.pending_final <- follower :: t.pending_final;
-    let cells =
-      if Lsn.(f_cmt < t.cmt) then
-        Store.committed_cells_in t.ctx.store ~above:f_cmt ~upto:t.cmt
-      else []
-    in
-    trace t "catchup_serve"
-      (Printf.sprintf "to n%d cells=%d upto=%s" follower (List.length cells)
-         (Lsn.to_string t.cmt));
-    t.ctx.send ~dst:follower
-      (Message.Catchup_data
-         { range = t.ctx.range; epoch = t.epoch; cells; upto = t.cmt; final = true });
-    (* If the follower dies mid-round its Catchup_done never arrives; unblock
-       after a grace period so the cohort does not stall. *)
-    after t (Sim.Sim_time.ms 2000) (fun () ->
-        if List.mem follower t.pending_final then begin
-          t.pending_final <- List.filter (fun f -> f <> follower) t.pending_final;
-          drain_waiting t
-        end)
-  end
-
-(* A follower finished catching up: activate it and close any in-flight gap
-   by re-proposing the leader's still-pending writes (idempotent at the
-   follower). For a takeover this re-proposal is exactly Figure 6 line 9 —
-   the unresolved writes in (l.cmt, l.lst]. *)
-let leader_catchup_done t ~follower ~upto =
-  if t.role = Leader && catchup_eligible t ~follower then begin
-    t.pending_final <- List.filter (fun f -> f <> follower) t.pending_final;
-    if Lsn.(upto < t.cmt) then
-      (* The follower fell behind again (it crashed and came back mid-round):
-         run another round. *)
-      leader_run_catchup t ~follower ~f_cmt:upto
-    else begin
-      if not (List.mem follower t.active_followers) then
-        t.active_followers <- follower :: t.active_followers;
-      (* A migration's joiner is caught up: commit the membership change that
-         swaps it in (and the retiring replica out). The change is replicated
-         under the old configuration's majority. *)
-      (match t.migration with
-      | Some m when m.joiner = follower && m.phase = `Catchup ->
-        m.phase <- `Change;
-        trace t "migration_change" (Printf.sprintf "joiner=n%d caught up" m.joiner);
-        enqueue_meta t (Log_record.Cohort_change { add = Some m.joiner; remove = m.remove })
-      | _ -> ());
-      let pending = Commit_queue.to_list t.queue in
-      if pending <> [] then begin
-        let writes =
-          List.map
-            (fun (e : Commit_queue.entry) -> (e.Commit_queue.lsn, e.op, e.timestamp, e.origin))
-            pending
-        in
-        t.ctx.send ~dst:follower
-          (Message.Propose
-             { range = t.ctx.range; epoch = t.epoch; writes; piggyback_cmt = None })
-      end;
-      (* Attributed to the follower's track: "this follower is caught up and
-         active" is a statement about the follower, and the timeline analyzer
-         matches it by (node = restarted replica, cohort). *)
-      Sim.Trace.event t.ctx.trace ~node:follower ~cohort:t.ctx.range ~lsn:(Lsn.to_string upto)
-        ~tag:"follower_active"
-        (Printf.sprintf "r%d n%d upto=%s" t.ctx.range follower (Lsn.to_string upto));
-      if t.takeover_pending then begin
-        t.takeover_pending <- false;
-        trace t "takeover_quorum" (Printf.sprintf "first=n%d" follower);
-        if Lsn.(t.cmt >= t.takeover_open_at) then open_cohort t
-        else begin
-          (* Figure 6: the unresolved writes in (l.cmt, l.lst] were acked by
-             the old leader and must be committed — and applied, so strong
-             reads cannot travel back in time — before the cohort reopens.
-             The commit timer re-proposes them under loss until the tail
-             lands; [try_commit] opens the cohort when cmt reaches the lst
-             we took over with. *)
-          t.takeover_commit_wait <- true;
-          trace t "takeover_commit_wait"
-            (Printf.sprintf "cmt=%s open_at=%s" (Lsn.to_string t.cmt)
-               (Lsn.to_string t.takeover_open_at));
-          arm_commit_timer t
-        end
-      end;
-      drain_waiting t
-    end
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Catch-up: follower side (§6.1).                                      *)
-
-let follower_handle_catchup_data t ~src ~epoch ~cells ~upto ~final =
-  if epoch >= t.epoch && t.role <> Offline && t.role <> Leader then begin
-    accept_leader t ~src ~epoch;
-    let old_cmt = t.cmt in
-    let catchup_span =
-      span_start t ~lsn:(Lsn.to_string upto) ~tag:"recovery.catchup"
-        (Printf.sprintf "from n%d: %d cells, %s -> %s%s" src (List.length cells)
-           (Lsn.to_string old_cmt) (Lsn.to_string upto)
-           (if final then " (final)" else ""))
-    in
-    (* Logical truncation (§6.1.1): LSNs in our log after f.cmt that the
-       leader does not vouch for were discarded by a leader change and must
-       never be re-applied by local recovery. The leader vouches for the
-       cells it sent and for its still-pending writes above [upto] (which it
-       re-proposes right after this round). *)
-    let vouched =
-      List.fold_left (fun acc ((_, (cell : Row.cell)) : Row.coord * Row.cell) ->
-          cell.lsn :: acc)
-        [] cells
-    in
-    (* Scan our raw durable extent, not lst: with loss the log can hold
-       records beyond the contiguous prefix lst tracks, and any of them
-       inside the vouched window that the leader does not vouch for must be
-       truncated too. *)
-    let own =
-      Store.durable_write_lsns_in t.ctx.store ~above:old_cmt ~upto:(Lsn.max t.lst upto)
-    in
-    let stale =
-      List.filter
-        (fun lsn -> Lsn.(lsn <= upto) && not (List.exists (Lsn.equal lsn) vouched))
-        own
-    in
-    if stale <> [] then begin
-      Skipped_lsns.add (Store.skipped t.ctx.store) stale;
-      trace t "logical_truncation"
-        (String.concat "," (List.map Lsn.to_string stale))
-    end;
-    (* Entries at or below the catch-up point are superseded by the cells;
-       anything above it that is still valid will be re-proposed (the leader
-       re-proposes its pending queue right after this round and on every
-       commit tick), so the queue is cleared outright — stale entries from a
-       deposed leader must not linger and apply later. In-flight duplicate
-       markers for dropped entries are released so a client retry is not
-       silently swallowed if this node is later elected. *)
-    ignore (Commit_queue.pop_upto t.queue upto);
-    List.iter
-      (fun (e : Commit_queue.entry) ->
-        match e.Commit_queue.origin with
-        | Some (client, request_id) -> clear_in_flight t ~client ~request_id
-        | None -> ())
-      (Commit_queue.drop_above t.queue upto);
-    List.iter
-      (fun (lsn, timestamp, op) ->
-        let already = List.exists (Lsn.equal lsn) own in
-        if not already then
-          Wal.append t.ctx.wal (Log_record.write ~cohort:t.ctx.range ~lsn ~timestamp op);
-        Store.apply t.ctx.store ~lsn ~timestamp op)
-      (install_ops_by_lsn cells);
-    t.cmt <- Lsn.max t.cmt upto;
-    (* Everything above the catch-up point was dropped from the queue, so our
-       vouched contiguous prefix ends exactly at cmt; that is the honest lst
-       until the leader's re-proposals rebuild the chain. Keeping a larger
-       stale value would let this replica out-bid others in an election with
-       sequence numbers it no longer vouches for. *)
-    t.lst <- t.cmt;
-    Wal.append t.ctx.wal (Log_record.commit_upto ~cohort:t.ctx.range t.cmt);
-    (* Writes we had forced but never applied are now committed (or
-       truncated); re-learn their outcomes from our own log so duplicate
-       retries stay suppressed if this node is later elected leader. *)
-    recache_outcomes_from_log t ~above:old_cmt ~upto:t.cmt;
-    flush_parked_reads t;
-    let finish =
-      guard t (fun () ->
-          span_end t ~span:catchup_span ~lsn:(Lsn.to_string t.cmt) ~tag:"recovery.catchup"
-            "caught-up batch durable";
-          t.catching_up <- false;
-          if final then
-            t.ctx.send ~dst:src
-              (Message.Catchup_done { range = t.ctx.range; from = t.ctx.node_id; upto = t.cmt }))
-    in
-    Wal.force t.ctx.wal finish
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Replica migration / node bootstrap (§10): the leader ships a snapshot
-   of its store to a joining node, catches it up from the snapshot
-   horizon, then commits a [Cohort_change] that swaps it in.            *)
-
-(* Drop this replica from the node: waiting writers are failed, the role
-   goes Offline so every guarded callback dies, and any leader-owned
-   election znodes are released so the remaining members can elect. The
-   node layer forgets the cohort and drops its log records. *)
+(* Lifecycle.                                                           *)
+
+(* Drop this replica from the node: waiting writers, read-index rounds and
+   parked reads are refused, the role goes Offline so every guarded callback
+   dies, and any leader-owned election znodes are released so the remaining
+   members can elect. The node layer forgets the cohort and drops its log
+   records. *)
 let retire t =
   if t.role <> Offline then begin
     trace t "retire"
-      (Printf.sprintf "role=%s%s"
-         (match t.role with
-         | Leader -> "leader"
-         | Follower -> "follower"
-         | Candidate -> "candidate"
-         | Offline -> "offline")
-         (if t.learner then " (learner)" else ""));
-    let waiting = t.waiting in
-    t.waiting <- [];
-    List.iter
-      (fun w ->
-        clear_in_flight t ~client:w.client ~request_id:w.request_id;
-        t.ctx.reply ~client:w.client ~request_id:w.request_id Message.Unavailable)
-      waiting;
-    fail_guards t;
-    let parked = List.rev t.parked_reads in
-    t.parked_reads <- [];
-    List.iter
-      (fun p ->
-        if not p.p_done then begin
-          p.p_done <- true;
-          t.ctx.reply ~client:p.p_client ~request_id:p.p_request_id Message.Unavailable
-        end)
-      parked;
+      (Printf.sprintf "role=%s%s" (role_name t.role) (if t.learner then " (learner)" else ""));
+    fail_waiting t;
+    Cohort_read.fail_guards t;
+    Cohort_read.refuse_parked t;
     let zk = t.ctx.zk () in
     (match t.own_candidate with
     | Some path -> Coord.Zk_client.delete_node zk ~path (fun _ -> ())
@@ -1856,9 +87,7 @@ let retire t =
     if t.role = Leader then Coord.Zk_client.delete_node zk ~path:(zk_leader t) (fun _ -> ());
     t.role <- Offline;
     t.leader <- None;
-    t.open_for_writes <- false;
-    t.takeover_pending <- false;
-    t.takeover_commit_wait <- false;
+    close_for_writes t;
     t.migration <- None;
     t.splitting <- false;
     t.learner <- false;
@@ -1867,650 +96,6 @@ let retire t =
     t.own_candidate <- None
   end
 
-let abort_migration t reason =
-  match t.migration with
-  | None -> ()
-  | Some m ->
-    (* Clean abort: the membership change was never logged, so the layout is
-       untouched; the stranded learner retires itself on its own timeout. *)
-    trace t "migration_abort" (Printf.sprintf "joiner=n%d %s" m.joiner reason);
-    t.migration <- None
-
-(* Ship the current chunk through the node's bulk-transfer link (bandwidth-
-   modelled), then retransmit every 500ms until the joiner acks it. *)
-let rec migration_send_chunk t =
-  match t.migration with
-  | Some m when t.role = Leader && m.phase = `Snapshot && m.next_chunk < Array.length m.chunks
-    ->
-    let seq = m.next_chunk in
-    m.attempts <- m.attempts + 1;
-    if m.attempts > 20 then abort_migration t "snapshot retries exhausted"
-    else begin
-      let msg =
-        Message.Snapshot_chunk
-          {
-            range = t.ctx.range;
-            epoch = t.epoch;
-            seq;
-            total = Array.length m.chunks;
-            cells = m.chunks.(seq);
-            upto = m.upto;
-            final = seq = Array.length m.chunks - 1;
-          }
-      in
-      Sim.Resource.submit_bytes t.ctx.xfer ~bytes:(Message.size msg)
-        ~bytes_per_sec:t.ctx.config.Config.xfer_bytes_per_sec
-        (guard t (fun () ->
-             match t.migration with
-             | Some m' when m' == m && t.role = Leader && m.phase = `Snapshot && m.next_chunk = seq
-               ->
-               t.ctx.send ~dst:m.joiner msg;
-               after t (Sim.Sim_time.ms 500) (fun () ->
-                   match t.migration with
-                   | Some m' when m' == m && m.phase = `Snapshot && m.next_chunk = seq ->
-                     migration_send_chunk t
-                   | _ -> ())
-             | _ -> ()))
-    end
-  | _ -> ()
-
-let handle_snapshot_ack t ~from ~seq =
-  match t.migration with
-  | Some m when t.role = Leader && from = m.joiner && m.phase = `Snapshot && seq = m.next_chunk
-    ->
-    m.next_chunk <- seq + 1;
-    m.attempts <- 0;
-    if m.next_chunk >= Array.length m.chunks then begin
-      (* Snapshot installed; catch the joiner up from the snapshot horizon
-         through the live log, exactly like a rejoining follower. *)
-      m.phase <- `Catchup;
-      trace t "migration_catchup"
-        (Printf.sprintf "joiner=n%d upto=%s" m.joiner (Lsn.to_string m.upto));
-      leader_run_catchup t ~follower:m.joiner ~f_cmt:m.upto;
-      after t t.ctx.config.Config.migration_timeout (fun () ->
-          match t.migration with
-          | Some m' when m' == m && m.phase <> `Change ->
-            abort_migration t "catch-up stalled"
-          | _ -> ())
-    end
-    else migration_send_chunk t
-  | _ -> ()
-
-(* Admin entry point (leader only): bootstrap [joiner] into the cohort,
-   retiring [remove] once the joiner is in. Returns false if the cohort
-   cannot start a migration right now. *)
-let request_join t ~joiner ?remove () =
-  let members = t.ctx.members () in
-  let valid_remove =
-    match remove with
-    | None -> true
-    | Some r -> r <> joiner && r <> t.ctx.node_id && List.mem r members
-  in
-  if
-    t.role = Leader && t.open_for_writes
-    && Option.is_none t.migration
-    && (not t.splitting)
-    && (not (List.mem joiner members))
-    && valid_remove
-  then begin
-    (* Snapshot = the newest committed cell per coordinate (tombstones
-       included) plus the retained older MVCC versions behind each — without
-       the chain tails the joiner could not answer an interval snapshot read
-       whose timestamp predates a coordinate's newest version. Chunked by
-       size; always at least one chunk, so an empty range still teaches the
-       joiner the snapshot horizon. *)
-    (* Sorted by LSN so the joiner installs in log order and, crucially, so a
-       chunk boundary never splits one LSN: the joiner appends one WAL record
-       per LSN and skips LSNs it already holds durably, so the second half of
-       a straddled LSN would silently miss the WAL. *)
-    let cells =
-      Store.all_cells t.ctx.store @ Store.chain_history_cells t.ctx.store
-      |> List.stable_sort (fun (_, (a : Row.cell)) (_, (b : Row.cell)) ->
-             Lsn.compare a.lsn b.lsn)
-    in
-    let chunk_bytes = t.ctx.config.Config.snapshot_chunk_bytes in
-    let chunks = ref [] and cur = ref [] and cur_bytes = ref 0 in
-    List.iter
-      (fun ((coord, (cell : Row.cell)) as c) ->
-        let key, col = coord in
-        let b =
-          String.length key + String.length col
-          + (match cell.value with Some v -> String.length v | None -> 0)
-          + 24
-        in
-        let boundary =
-          !cur_bytes >= chunk_bytes
-          && match !cur with (_, (p : Row.cell)) :: _ -> not (Lsn.equal p.lsn cell.lsn) | [] -> false
-        in
-        if boundary then begin
-          chunks := List.rev !cur :: !chunks;
-          cur := [];
-          cur_bytes := 0
-        end;
-        cur := c :: !cur;
-        cur_bytes := !cur_bytes + b)
-      cells;
-    if !cur <> [] || !chunks = [] then chunks := List.rev !cur :: !chunks;
-    let chunks = Array.of_list (List.rev !chunks) in
-    let m =
-      { joiner; remove; chunks; upto = t.cmt; next_chunk = 0; phase = `Snapshot; attempts = 0 }
-    in
-    t.migration <- Some m;
-    trace t "migration_start"
-      (Printf.sprintf "joiner=n%d remove=%s chunks=%d cells=%d upto=%s" joiner
-         (match remove with Some r -> Printf.sprintf "n%d" r | None -> "-")
-         (Array.length chunks) (List.length cells) (Lsn.to_string t.cmt));
-    migration_send_chunk t;
-    true
-  end
-  else false
-
-(* ------------------------------------------------------------------ *)
-(* Migration: joiner (learner) side.                                    *)
-
-(* Become a learner replica: receive the snapshot and catch-up, ack
-   proposes (they do not count toward the old majority), but never vote in
-   elections. A learner that is never promoted retires itself. *)
-let start_learner t ~leader =
-  t.role <- Follower;
-  t.learner <- true;
-  t.snapshot_next <- 0;
-  t.catching_up <- true;
-  t.leader <- Some leader;
-  t.last_leader_msg <- Sim.Engine.now t.ctx.engine;
-  trace t "learner_start" (Printf.sprintf "leader=n%d" leader);
-  let inc = t.ctx.incarnation () in
-  ignore
-    (Sim.Engine.schedule t.ctx.engine ~after:t.ctx.config.Config.learner_timeout (fun () ->
-         if t.ctx.incarnation () = inc && t.learner && t.role <> Offline then begin
-           trace t "learner_abort" "never promoted; migration aborted";
-           t.ctx.retire_self ()
-         end))
-
-(* Install one snapshot chunk. Strictly in-order: acking chunk [k] promises
-   every chunk [<= k] is installed and durable, so a joiner that crashed and
-   restarted mid-transfer (losing its WAL tail and its chunk counter) never
-   acks the next chunk — the source retries, then aborts cleanly. Duplicate
-   chunks (a retransmission racing the ack) are re-acked idempotently. *)
-let handle_snapshot_chunk t ~src ~epoch ~seq ~cells ~upto ~final =
-  if t.role = Follower && t.learner && epoch >= t.epoch then begin
-    if epoch > t.epoch then t.epoch <- epoch;
-    t.leader <- Some src;
-    t.last_leader_msg <- Sim.Engine.now t.ctx.engine;
-    let ack () =
-      t.ctx.send ~dst:src
-        (Message.Snapshot_ack { range = t.ctx.range; from = t.ctx.node_id; seq })
-    in
-    if seq < t.snapshot_next then ack ()
-    else if seq > t.snapshot_next then ()
-    else begin
-      t.snapshot_next <- seq + 1;
-      (* WAL-append then apply, like catch-up install: the snapshot cells
-         become this replica's durable prefix, so local recovery and later
-         catch-up serving work unchanged. Idempotent under retransmission. *)
-      let own = Store.durable_write_lsns_in t.ctx.store ~above:Lsn.zero ~upto in
-      List.iter
-        (fun (lsn, timestamp, op) ->
-          if not (List.exists (Lsn.equal lsn) own) then
-            Wal.append t.ctx.wal (Log_record.write ~cohort:t.ctx.range ~lsn ~timestamp op);
-          Store.apply t.ctx.store ~lsn ~timestamp op)
-        (install_ops_by_lsn cells);
-      if final then begin
-        (* The snapshot horizon is our commit point: every committed write at
-           or below it is covered by the installed cells. *)
-        t.cmt <- Lsn.max t.cmt upto;
-        t.lst <- t.cmt;
-        Wal.append t.ctx.wal (Log_record.commit_upto ~cohort:t.ctx.range t.cmt);
-        trace t "snapshot_installed"
-          (Printf.sprintf "from n%d upto=%s" src (Lsn.to_string t.cmt));
-        flush_parked_reads t
-      end;
-      (* Ack only once durable: the promise behind the ack is that a crash
-         cannot silently lose this chunk. *)
-      Wal.force t.ctx.wal (guard t ack)
-    end
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Range split: a hot range [lo, hi) splits at a median key into
-   [lo, at) + [at, hi), both children serving before any data is
-   rewritten — the child shares the parent's SSTables.                  *)
-
-(* Admin entry point (leader only). The split point is the store's median
-   key; the child range id is allocated from the coordination service; the
-   child's election znodes are pre-created with the parent's current epoch
-   (so the child's first leader allocates a strictly larger one and its
-   writes beat every inherited cell under LSN order); then the parent
-   drains its commit queue, flushes, and logs the split record. *)
-let request_split t =
-  if
-    t.role = Leader && t.open_for_writes && Option.is_none t.migration && not t.splitting
-  then begin
-    match Store.split_point t.ctx.store with
-    | None -> false
-    | Some at ->
-      t.splitting <- true;
-      trace t "split_start" (Printf.sprintf "at=%s" at);
-      let zk = t.ctx.zk () in
-      Coord.Zk_client.incr_counter zk ~path:"/next_range"
-        (guard t (fun new_range ->
-             if t.role = Leader && t.splitting then begin
-               let prefix = Printf.sprintf "/ranges/%d" new_range in
-               let create path k =
-                 (* Already-exists errors are fine: a previous leader's split
-                    attempt may have created the znodes before dying. *)
-                 Coord.Zk_client.create_node zk ~path
-                   ~data:(string_of_int t.epoch) (guard t (fun _ -> k ()))
-               in
-               create prefix (fun () ->
-                   create (prefix ^ "/candidates") (fun () ->
-                       create (prefix ^ "/epoch") (fun () ->
-                           (* New writes are parked by [t.splitting]; wait for
-                              the in-flight tail to commit, then flush so the
-                              shared SSTables hold everything up to the split
-                              record, and log it. *)
-                           let rec drain () =
-                             if t.role <> Leader then t.splitting <- false
-                             else if Commit_queue.length t.queue > 0 then
-                               after t (Sim.Sim_time.ms 50) drain
-                             else begin
-                               Store.flush t.ctx.store;
-                               enqueue_meta t (Log_record.Split { at; new_range })
-                             end
-                           in
-                           drain ())))
-             end));
-      true
-  end
-  else false
-
-(* ------------------------------------------------------------------ *)
-(* Leader takeover (Figure 6).                                          *)
-
-let start_takeover t =
-  trace t "takeover_start"
-    (Printf.sprintf "epoch=%d cmt=%s lst=%s" t.epoch (Lsn.to_string t.cmt)
-       (Lsn.to_string t.lst));
-  t.takeover_pending <- true;
-  t.takeover_open_at <- t.lst;
-  t.takeover_commit_wait <- false;
-  t.open_for_writes <- false;
-  t.active_followers <- [];
-  (* Rebuild the commit queue with the unresolved writes in (l.cmt, l.lst]
-     from the durable log (they may not be in memory if we just restarted).
-     They are already forced locally; they commit once a follower acks. *)
-  List.iter
-    (fun (lsn, op, timestamp, origin) ->
-      if not (Commit_queue.mem t.queue lsn) then
-        Commit_queue.add t.queue ~lsn ~op ~timestamp ?origin ())
-    (Wal.durable_writes_in t.ctx.wal ~cohort:t.ctx.range ~above:t.cmt ~upto:t.lst);
-  Commit_queue.mark_forced_upto t.queue t.lst;
-  (* Nothing above the contiguous prefix lst was ever committed — a
-     committed record up there would have out-bid us in the max-lst
-     election — so records beyond it (appends stranded past a loss-induced
-     hole, or a deposed epoch's tail) are dead: purge them from the queue
-     and logically truncate the log records so neither re-proposal nor local
-     recovery can resurrect them under the new epoch. *)
-  List.iter
-    (fun (e : Commit_queue.entry) ->
-      match e.Commit_queue.origin with
-      | Some (client, request_id) -> clear_in_flight t ~client ~request_id
-      | None -> ())
-    (Commit_queue.drop_above t.queue t.lst);
-  let orphans =
-    List.filter
-      (fun l -> not (Skipped_lsns.mem (Store.skipped t.ctx.store) l))
-      (Store.durable_write_lsns_in t.ctx.store ~above:t.lst
-         ~upto:(Wal.last_write_lsn t.ctx.wal ~cohort:t.ctx.range))
-  in
-  if orphans <> [] then begin
-    Skipped_lsns.add (Store.skipped t.ctx.store) orphans;
-    trace t "logical_truncation" (String.concat "," (List.map Lsn.to_string orphans))
-  end;
-  (* Pending entries' originating requests are in flight again: a client
-     retry arriving mid-takeover must wait for the re-proposed original to
-     commit, not enqueue a second copy behind it. *)
-  List.iter
-    (fun (e : Commit_queue.entry) ->
-      match e.Commit_queue.origin with
-      | Some (client, request_id) ->
-        if Option.is_none (dedup_find t ~client ~request_id) then
-          dedup_set t ~client ~request_id In_flight
-      | None -> ())
-    (Commit_queue.to_list t.queue);
-  (* Ask each follower for its last committed LSN (Figure 6 lines 3-4). *)
-  List.iter
-    (fun f -> t.ctx.send ~dst:f (Message.Takeover_query { range = t.ctx.range; epoch = t.epoch }))
-    (others t);
-  (* Followers may be down; retry the query until a quorum forms. *)
-  let rec retry () =
-    if t.role = Leader && t.takeover_pending then begin
-      List.iter
-        (fun f ->
-          if not (List.mem f t.active_followers) then
-            t.ctx.send ~dst:f (Message.Takeover_query { range = t.ctx.range; epoch = t.epoch }))
-        (others t);
-      after t (Sim.Sim_time.ms 1000) retry
-    end
-  in
-  after t (Sim.Sim_time.ms 1000) retry
-
-let handle_takeover_query t ~src ~epoch =
-  if t.role <> Offline && epoch >= t.epoch then begin
-    if epoch > t.epoch then t.epoch <- epoch;
-    (* A deposed leader rejoins the cohort as a follower (§6.2). *)
-    if t.role = Leader then begin
-      trace t "stepdown" (Printf.sprintf "new_epoch=%d" epoch);
-      t.open_for_writes <- false;
-      t.takeover_pending <- false;
-      t.takeover_commit_wait <- false;
-      fail_guards t;
-      (* A deposed leader's in-flight migration or split dies with its term;
-         if the metadata record was already logged the new leader's takeover
-         resolves it like any other write. *)
-      abort_migration t "leader deposed";
-      t.splitting <- false;
-      let waiting = t.waiting in
-      t.waiting <- [];
-      List.iter
-        (fun w ->
-          clear_in_flight t ~client:w.client ~request_id:w.request_id;
-          t.ctx.reply ~client:w.client ~request_id:w.request_id Message.Unavailable)
-        waiting
-    end;
-    t.role <- Follower;
-    t.election_running <- false;
-    t.leader <- Some src;
-    t.last_leader_msg <- Sim.Engine.now t.ctx.engine;
-    !arm_leader_watch t;
-    !arm_resync t;
-    t.catching_up <- true;
-    t.ctx.send ~dst:src
-      (Message.Takeover_info
-         { range = t.ctx.range; from = t.ctx.node_id; cmt = t.cmt; lst = t.lst })
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Leader election (Figure 7).                                          *)
-
-let candidate_data t = Printf.sprintf "%s;%d" (Lsn.to_string t.lst) t.ctx.node_id
-
-let parse_candidate data =
-  match String.split_on_char ';' data with
-  | [ lsn_s; node_s ] -> (
-    match (String.split_on_char '.' lsn_s, int_of_string_opt node_s) with
-    | [ e; s ], Some node -> (
-      match (int_of_string_opt e, int_of_string_opt s) with
-      | Some epoch, Some seq -> Some (Lsn.make ~epoch ~seq, node)
-      | _ -> None)
-    | _ -> None)
-  | _ -> None
-
-let rec become_follower t ~leader ~catchup =
-  t.role <- Follower;
-  t.leader <- Some leader;
-  t.election_running <- false;
-  (* Leader-side pipeline state is meaningless once we step down. *)
-  t.unproposed <- [];
-  Queue.clear t.inflight_props;
-  t.last_leader_msg <- Sim.Engine.now t.ctx.engine;
-  trace t "follower" (Printf.sprintf "leader=n%d" leader);
-  watch_leader_liveness t;
-  arm_resync_timer t;
-  if catchup then begin
-    t.catching_up <- true;
-    request_catchup t
-  end
-
-(* A rejoining follower advertises f.cmt to the leader (§6.1); retried until
-   the leader answers (it may itself still be coming up). *)
-and request_catchup t =
-  match t.leader with
-  | Some leader when t.role = Follower && t.catching_up ->
-    t.ctx.send ~dst:leader
-      (Message.Catchup_request { range = t.ctx.range; from = t.ctx.node_id; cmt = t.cmt });
-    after t (Sim.Sim_time.ms 1000) (fun () -> if t.catching_up then request_catchup t)
-  | _ -> ()
-
-(* A follower whose propose stream has a hole (a lost message) cannot make
-   commit progress on its own; an explicit catch-up from the leader closes
-   the gap. *)
-and start_resync t =
-  if t.role = Follower && not t.catching_up then begin
-    t.catching_up <- true;
-    request_catchup t
-  end
-
-(* Strand detection: the leader heartbeats every commit period (commit
-   messages are sent even when idle), so a follower that has heard nothing
-   for several periods is cut off — by loss, a one-way partition, or a
-   silent leader change — and proactively re-syncs rather than serving ever
-   staler timeline reads and holding a stale commit queue. *)
-and arm_resync_timer t =
-  if not t.resync_armed then begin
-    t.resync_armed <- true;
-    let period = t.ctx.config.Config.commit_period in
-    let rec check () =
-      if t.role = Follower || t.role = Candidate then begin
-        (if t.role = Follower && (not t.catching_up) && t.leader <> None then begin
-           let silent = Sim.Sim_time.diff (Sim.Engine.now t.ctx.engine) t.last_leader_msg in
-           if Sim.Sim_time.span_compare silent (Sim.Sim_time.span_scale period 3.0) > 0 then begin
-             trace t "resync"
-               (Printf.sprintf "leader silent for %.0fms" (Sim.Sim_time.to_ms_f silent));
-             start_resync t
-           end
-         end);
-        after t period check
-      end
-      else t.resync_armed <- false
-    in
-    after t period check
-  end
-
-and watch_leader_liveness t =
-  if not t.leader_watch_armed then begin
-    t.leader_watch_armed <- true;
-    let zk = t.ctx.zk () in
-    Coord.Zk_client.watch_node zk ~path:(zk_leader t)
-      (guard t (fun () ->
-           t.leader_watch_armed <- false;
-           Coord.Zk_client.get_data zk ~path:(zk_leader t)
-             (guard t (function
-               | Ok _ -> watch_leader_liveness t
-               | Error _ ->
-                 (* The leader's ephemeral znode vanished: its session
-                    expired. Elect a new leader (§7). *)
-                 t.leader <- None;
-                 start_election t))))
-  end
-
-and become_leader t =
-  t.election_running <- false;
-  t.leader <- Some t.ctx.node_id;
-  t.role <- Leader;
-  t.catching_up <- false;
-  (* Fresh leadership stint: no outstanding Propose batches yet, and any
-     coalesced ack we owed the previous leader is moot. *)
-  t.unproposed <- [];
-  Queue.clear t.inflight_props;
-  t.ack_pending <- None;
-  trace t "leader_elected" (Printf.sprintf "lst=%s" (Lsn.to_string t.lst));
-  watch_leader_liveness t;
-  let zk = t.ctx.zk () in
-  (* A new epoch number is stored in Zookeeper before the leader accepts any
-     new writes (Appendix B), making new LSNs greater than any previously
-     used in the cohort. *)
-  Coord.Zk_client.incr_counter zk ~path:(zk_epoch t)
-    (guard t (fun epoch ->
-         if t.role = Leader then begin
-           t.epoch <- Stdlib.max t.epoch epoch;
-           (* Clean up the finished election's candidate znodes (the
-              directory itself stays, so sequence numbers never clash with
-              paths peers still remember). *)
-           Coord.Zk_client.children zk ~path:(zk_candidates t) (fun result ->
-               match result with
-               | Ok kids ->
-                 List.iter
-                   (fun (name, _) ->
-                     Coord.Zk_client.delete_node zk
-                       ~path:(zk_candidates t ^ "/" ^ name)
-                       (fun _ -> ()))
-                   kids
-               | Error _ -> ());
-           t.own_candidate <- None;
-           start_takeover t
-         end))
-
-and read_leader_then_follow t =
-  let zk = t.ctx.zk () in
-  Coord.Zk_client.get_data zk ~path:(zk_leader t)
-    (guard t (function
-      | Ok data -> (
-        match int_of_string_opt data with
-        | Some leader when leader = t.ctx.node_id ->
-          if t.role = Leader then
-            (* We already held leadership (e.g. spurious election). *)
-            t.election_running <- false
-          else begin
-            (* The /leader znode carries our id but we do not hold the role:
-               it is a stale ephemeral from our own previous session (we
-               crashed and came back within the session timeout). Nobody
-               else can win while it exists, and we must not claim
-               leadership off a dying session — wait for the old session to
-               expire (deleting the znode) and re-run the election. *)
-            t.election_running <- false;
-            trace t "stale_leader_znode" "own id from a previous session";
-            Coord.Zk_client.watch_node zk ~path:(zk_leader t)
-              (guard t (fun () -> if t.role <> Leader then start_election t))
-          end
-        | Some leader -> become_follower t ~leader ~catchup:true
-        | None -> t.election_running <- false)
-      | Error _ ->
-        (* Not written yet: learn it when the winner writes it (Fig 7 l.11). *)
-        Coord.Zk_client.watch_node zk ~path:(zk_leader t)
-          (guard t (fun () -> read_leader_then_follow t))))
-
-and evaluate_candidates t kids =
-  (* The new leader is the candidate with the max n.lst (Figure 7 line 6).
-     Ties prefer the earliest node in the cohort's chained-declustering
-     order — keeping leadership balanced across the cluster (the primary
-     leads its base range when logs are equal) — then znode sequence. *)
-  let position node =
-    let rec find i = function
-      | [] -> max_int
-      | m :: rest -> if m = node then i else find (i + 1) rest
-    in
-    find 0 (t.ctx.members ())
-  in
-  let parsed =
-    List.filter_map
-      (fun (name, data) -> Option.map (fun (lsn, node) -> (name, lsn, node)) (parse_candidate data))
-      kids
-  in
-  match parsed with
-  | [] -> ()
-  | (name0, lsn0, node0) :: rest ->
-    let _, _, winner =
-      List.fold_left
-        (fun (bn, bl, bw) (name, lsn, node) ->
-          let beats =
-            if not (Lsn.equal lsn bl) then Lsn.(lsn > bl)
-            else if position node <> position bw then position node < position bw
-            else String.compare name bn < 0
-          in
-          if beats then (name, lsn, node) else (bn, bl, bw))
-        (name0, lsn0, node0) rest
-    in
-    trace t "election_eval" (Printf.sprintf "winner=n%d of %d candidates" winner (List.length kids));
-    if winner = t.ctx.node_id then begin
-      let zk = t.ctx.zk () in
-      Coord.Zk_client.create_node zk ~path:(zk_leader t)
-        ~data:(string_of_int t.ctx.node_id) ~ephemeral:true
-        (guard t (function
-          | Ok _ -> become_leader t
-          | Error _ ->
-            (* Someone else won the race to /r/leader; follow them. *)
-            read_leader_then_follow t))
-    end
-    else read_leader_then_follow t
-
-and announce_candidacy t =
-  if t.election_running then begin
-    let zk = t.ctx.zk () in
-    (* Announce candidacy: a sequential ephemeral znode holding n.lst
-       (Figure 7 line 4). *)
-    Coord.Zk_client.create_node zk
-      ~path:(zk_candidates t ^ "/c-")
-      ~data:(candidate_data t) ~ephemeral:true ~sequential:true
-      (guard t (function
-        | Ok path ->
-          trace t "candidate" path;
-          t.own_candidate <- Some path;
-          await_candidates t
-        | Error e ->
-          trace t "candidate_error" (Format.asprintf "%a" Coord.Ztree.pp_error e);
-          t.election_running <- false;
-          after t (Sim.Sim_time.ms 100) (fun () -> start_election t)))
-  end
-
-and await_candidates t =
-  if t.election_running then begin
-    let zk = t.ctx.zk () in
-    (* Arm the watch before reading, so no change is missed (Fig 7 line 5). *)
-    Coord.Zk_client.watch_children zk ~path:(zk_candidates t)
-      (guard t (fun () -> await_candidates t));
-    Coord.Zk_client.children zk ~path:(zk_candidates t)
-      (guard t (fun result ->
-           if t.election_running then
-             match result with
-             | Ok kids ->
-               (* Our own candidacy can be swept away by a previous winner's
-                  cleanup racing this election: re-announce rather than wait
-                  on a znode that no longer exists. *)
-               let own_present =
-                 match t.own_candidate with
-                 | Some path ->
-                   List.exists (fun (name, _) -> zk_candidates t ^ "/" ^ name = path) kids
-                 | None -> false
-               in
-               if not own_present then announce_candidacy t
-               else if List.length kids >= Config.majority t.ctx.config then
-                 evaluate_candidates t kids
-             | Error _ -> ()))
-  end
-
-and start_election t =
-  (* Learners and replicas no longer in the membership must not vote: a
-     learner's log is a partial snapshot (its lst is not comparable under the
-     max-lst rule), and a migrated-away replica claiming leadership would
-     resurrect the old configuration. *)
-  if
-    t.role <> Offline && (not t.election_running) && (not t.learner)
-    && List.mem t.ctx.node_id (t.ctx.members ())
-  then begin
-    t.election_running <- true;
-    t.role <- Candidate;
-    t.leader <- None;
-    t.open_for_writes <- false;
-    t.takeover_pending <- false;
-    t.takeover_commit_wait <- false;
-    trace t "election_start" (Printf.sprintf "lst=%s" (Lsn.to_string t.lst));
-    let zk = t.ctx.zk () in
-    (* Clean up our stale state from a previous round (Figure 7 line 1). *)
-    match t.own_candidate with
-    | Some path ->
-      t.own_candidate <- None;
-      Coord.Zk_client.delete_node zk ~path (guard t (fun _ -> announce_candidacy t))
-    | None -> announce_candidacy t
-  end
-
-let () = arm_leader_watch := watch_leader_liveness
-let () = arm_resync := arm_resync_timer
-let () = trigger_resync := start_resync
-
-(* ------------------------------------------------------------------ *)
-(* Lifecycle.                                                           *)
-
 let crash t =
   t.role <- Offline;
   t.epoch <- 0;
@@ -2518,11 +103,9 @@ let crash t =
   t.lst <- Lsn.zero;
   ignore (Commit_queue.drop_above t.queue Lsn.zero);
   t.leader <- None;
-  t.open_for_writes <- false;
+  close_for_writes t;
   t.active_followers <- [];
   t.pending_final <- [];
-  t.takeover_pending <- false;
-  t.takeover_commit_wait <- false;
   t.waiting <- [];
   t.commit_timer_armed <- false;
   Hashtbl.reset t.dedup;
@@ -2536,37 +119,15 @@ let crash t =
   t.election_running <- false;
   t.own_candidate <- None;
   t.leader_watch_armed <- false;
-  (* Outstanding guard rounds and parked reads die with the node (no replies
-     leave a crashed process); their clients time out and retry elsewhere.
-     [lease_disabled] and [guard_seq] survive: the former is configuration,
-     the latter stays monotone so a stale pre-crash ack can never complete a
-     fresh round. *)
-  Hashtbl.reset t.guards;
-  t.parked_reads <- [];
+  Cohort_read.crash t;
   (* Accumulated phase samples survive the crash (cluster-lifetime metrics);
      in-flight tracking does not — those writes will never pop. *)
   Hashtbl.reset t.inflight_started;
-  Hashtbl.reset t.locks;
-  Hashtbl.reset t.pending_decisions;
-  Hashtbl.reset t.resolving;
-  t.txn_sweep_armed <- false;
+  Cohort_ops.reset_txn_state t;
+  t.txn.sweep_armed <- false;
   Store.crash t.ctx.store
 
 let wipe_storage t = Store.wipe t.ctx.store
-
-(* Read the current leader from Zookeeper and fall in line: follow it, or run
-   an election if there is none (or the registered leader is ourselves — we
-   no longer hold that role after a crash or session loss). *)
-let join_cohort t =
-  let zk = t.ctx.zk () in
-  Coord.Zk_client.get_data zk ~path:(zk_leader t)
-    (guard t (function
-      | Ok data -> (
-        match int_of_string_opt data with
-        | Some leader when leader <> t.ctx.node_id ->
-          become_follower t ~leader ~catchup:true
-        | _ -> start_election t)
-      | Error _ -> start_election t))
 
 (* The honest last-LSN claim after recovery: the largest LSN reachable from
    cmt by walking consecutive sequence numbers through the durable log
@@ -2574,15 +135,14 @@ let join_cohort t =
    can sit beyond a loss-induced hole, and advertising it in an election
    (Figure 7) could out-bid the replica actually holding a committed write. *)
 let recovered_contiguous_lst t ~cmt ~raw =
-  let module Seq_map = Map.Make (Int) in
   let by_seq =
     List.fold_left
-      (fun m (lsn, _, _, _) -> Seq_map.add lsn.Lsn.seq lsn m)
-      Seq_map.empty
+      (fun m (lsn, _, _, _) -> Int_map.add lsn.Lsn.seq lsn m)
+      Int_map.empty
       (Wal.durable_writes_in t.ctx.wal ~cohort:t.ctx.range ~above:cmt ~upto:raw)
   in
   let rec walk seq best =
-    match Seq_map.find_opt (seq + 1) by_seq with
+    match Int_map.find_opt (seq + 1) by_seq with
     | Some lsn -> walk (seq + 1) lsn
     | None -> best
   in
@@ -2603,7 +163,13 @@ let rejoin t =
   recache_outcomes_from_log t ~above:Lsn.zero ~upto:cmt;
   trace t "local_recovery"
     (Printf.sprintf "cmt=%s lst=%s" (Lsn.to_string cmt) (Lsn.to_string lst));
-  join_cohort t
+  Cohort_election.join_cohort t
+
+(* Fresh boot is the restart path: local recovery (a no-op on an empty log)
+   followed by election or follower catch-up (§7: "leader election is
+   triggered whenever a cohort's leader has failed or following local
+   recovery after a system restart"). *)
+let startup = rejoin
 
 (* The coordination-service session expired (§7): a leader must stop serving
    immediately — its znode is gone, so a new leader may be elected at any
@@ -2612,30 +178,16 @@ let rejoin t =
    re-reads the leader and falls back in line. *)
 let zk_session_expired t =
   if t.role <> Offline then begin
-    trace t "zk_session_expired"
-      (Printf.sprintf "role=%s"
-         (match t.role with
-         | Leader -> "leader"
-         | Follower -> "follower"
-         | Candidate -> "candidate"
-         | Offline -> "offline"));
+    trace t "zk_session_expired" (Printf.sprintf "role=%s" (role_name t.role));
     if t.role = Leader then begin
-      let waiting = t.waiting in
-      t.waiting <- [];
-      List.iter
-        (fun w ->
-          clear_in_flight t ~client:w.client ~request_id:w.request_id;
-          t.ctx.reply ~client:w.client ~request_id:w.request_id Message.Unavailable)
-        waiting;
+      fail_waiting t;
       (* The session is gone, so the lease is too; in-flight guard rounds can
          never complete under an epoch a new leader may already have beaten. *)
-      fail_guards t
+      Cohort_read.fail_guards t
     end;
-    t.role <- if t.learner then Follower else Candidate;
+    t.role <- (if t.learner then Follower else Candidate);
     t.leader <- None;
-    t.open_for_writes <- false;
-    t.takeover_pending <- false;
-    t.takeover_commit_wait <- false;
+    close_for_writes t;
     t.pending_final <- [];
     t.active_followers <- [];
     t.migration <- None;
@@ -2646,52 +198,45 @@ let zk_session_expired t =
     t.leader_watch_armed <- false;
     (* Leader-term transaction state dies with the term; the next leader
        rebuilds it from its store and queue when the cohort reopens. *)
-    Hashtbl.reset t.locks;
-    Hashtbl.reset t.pending_decisions;
-    Hashtbl.reset t.resolving
+    Cohort_ops.reset_txn_state t
   end
 
-let zk_session_renewed t = if t.role <> Offline && not t.learner then join_cohort t
-
-(* Fresh boot is the restart path: local recovery (a no-op on an empty log)
-   followed by election or follower catch-up (§7: "leader election is
-   triggered whenever a cohort's leader has failed or following local
-   recovery after a system restart"). *)
-let startup = rejoin
-
-let read_local t coord = Store.read t.ctx.store coord
-let write_phases t = t.phases
-
-let skipped_lsns t = Skipped_lsns.to_list (Store.skipped t.ctx.store)
+let zk_session_renewed t =
+  if t.role <> Offline && not t.learner then Cohort_election.join_cohort t
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch.                                                            *)
 
+let handle_client t ~client ~request_id op =
+  match op with
+  | Message.Get { key; col; consistent; token } ->
+    Cohort_read.handle_read t ~client ~request_id ~consistent ~token ~key ~cols:[ col ]
+      ~single:true
+  | Message.Multi_get { key; cols; consistent; token } ->
+    Cohort_read.handle_read t ~client ~request_id ~consistent ~token ~key ~cols ~single:false
+  | Message.Scan { start_key; end_key; limit; consistent; token } ->
+    Cohort_read.handle_scan t ~client ~request_id ~start_key ~end_key ~limit ~consistent ~token
+  | Message.Fence _ -> Cohort_read.handle_fence t ~client ~request_id
+  | Message.Snap_get { key; col; fence; fence_ts } ->
+    Cohort_read.handle_snap_get t ~client ~request_id ~key ~col ~fence ~fence_ts
+  | _ -> Cohort_replication.handle_write t ~client ~request_id op
+
 let handle_peer t ~src ~sent_at msg =
   match msg with
   | Message.Propose { epoch; writes; piggyback_cmt; _ } ->
-    handle_propose t ~src ~sent_at ~epoch ~writes ~piggyback_cmt
-  | Message.Ack { from; upto; _ } ->
-    (* Only members' acks count toward the majority: a learner's ack must
-       not help commit a write the old configuration has not accepted — the
-       learner could vanish with the only durable copy. *)
-    if t.role = Leader && List.mem from (t.ctx.members ()) then begin
-      record_transit t ~sent_at;
-      Commit_queue.add_ack t.queue ~from ~upto;
-      try_commit t
-    end
-  | Message.Commit { epoch; upto; _ } -> handle_commit t ~src ~epoch ~upto
-  | Message.Read_guard { epoch; seq; _ } -> handle_guard t ~src ~epoch ~seq
-  | Message.Read_guard_ack { from; seq; _ } -> handle_guard_ack t ~from ~seq
-  | Message.Takeover_query { epoch; _ } -> handle_takeover_query t ~src ~epoch
-  | Message.Takeover_info { from; cmt; _ } ->
-    if t.role = Leader then leader_run_catchup t ~follower:from ~f_cmt:cmt
-  | Message.Catchup_request { from; cmt; _ } ->
-    if t.role = Leader then leader_run_catchup t ~follower:from ~f_cmt:cmt
+    Cohort_replication.handle_propose t ~src ~sent_at ~epoch ~writes ~piggyback_cmt
+  | Message.Ack { from; upto; _ } -> Cohort_replication.handle_ack t ~sent_at ~from ~upto
+  | Message.Commit { epoch; upto; _ } -> Cohort_replication.handle_commit t ~src ~epoch ~upto
+  | Message.Read_guard { epoch; seq; _ } -> Cohort_replication.handle_guard t ~src ~epoch ~seq
+  | Message.Read_guard_ack { from; seq; _ } -> Cohort_read.handle_guard_ack t ~from ~seq
+  | Message.Takeover_query { epoch; _ } -> Cohort_election.handle_takeover_query t ~src ~epoch
+  | Message.Takeover_info { from; cmt; _ } | Message.Catchup_request { from; cmt; _ } ->
+    if t.role = Leader then Cohort_replication.leader_run_catchup t ~follower:from ~f_cmt:cmt
   | Message.Catchup_data { epoch; cells; upto; final; _ } ->
-    follower_handle_catchup_data t ~src ~epoch ~cells ~upto ~final
-  | Message.Catchup_done { from; upto; _ } -> leader_catchup_done t ~follower:from ~upto
+    Cohort_replication.follower_handle_catchup_data t ~src ~epoch ~cells ~upto ~final
+  | Message.Catchup_done { from; upto; _ } ->
+    Cohort_replication.leader_catchup_done t ~follower:from ~upto
   | Message.Snapshot_chunk { epoch; seq; cells; upto; final; _ } ->
-    handle_snapshot_chunk t ~src ~epoch ~seq ~cells ~upto ~final
-  | Message.Snapshot_ack { from; seq; _ } -> handle_snapshot_ack t ~from ~seq
+    Cohort_membership.handle_snapshot_chunk t ~src ~epoch ~seq ~cells ~upto ~final
+  | Message.Snapshot_ack { from; seq; _ } -> Cohort_membership.handle_snapshot_ack t ~from ~seq
   | Message.Request _ | Message.Reply _ -> ()

@@ -5,7 +5,6 @@ type entry = {
   origin : (int * int) option;
   mutable forced : bool;
   mutable ackers : int list;
-  reply : (unit -> unit) option;
 }
 
 module Lsn_map = Map.Make (struct
@@ -100,8 +99,8 @@ let remove_entry t (e : entry) =
   | _ -> ());
   index_remove t e
 
-let add t ~lsn ~op ~timestamp ?origin ?reply () =
-  let entry = { lsn; op; timestamp; origin; forced = false; ackers = []; reply } in
+let add t ~lsn ~op ~timestamp ?origin () =
+  let entry = { lsn; op; timestamp; origin; forced = false; ackers = [] } in
   t.entries <- Lsn_map.add lsn entry t.entries;
   index_add t lsn op;
   (* An unforced entry at or below the mark, or inside the contiguous forced

@@ -11,12 +11,11 @@ type entry = {
   op : Storage.Log_record.op;
   timestamp : int;
   origin : (int * int) option;
-      (** issuing (client, request id), for duplicate suppression *)
+      (** issuing (client, request id): answered when the entry commits, and
+          remembered for duplicate suppression; only the last entry of a
+          multi-record write carries it *)
   mutable forced : bool;  (** local log record forced to disk *)
   mutable ackers : int list;  (** follower node ids that acked *)
-  reply : (unit -> unit) option;
-      (** fires when the entry commits (sends the client response); only the
-          last entry of a multi-column transaction carries it *)
 }
 
 type t
@@ -25,7 +24,7 @@ val create : unit -> t
 
 val add :
   t -> lsn:Storage.Lsn.t -> op:Storage.Log_record.op -> timestamp:int ->
-  ?origin:int * int -> ?reply:(unit -> unit) -> unit -> unit
+  ?origin:int * int -> unit -> unit
 
 val mem : t -> Storage.Lsn.t -> bool
 

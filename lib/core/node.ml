@@ -49,10 +49,23 @@ let reply t ~client ~request_id reply =
   in
   send t ~trace_id ~dst:client (Message.Reply { request_id; reply })
 
-(* The session-renewal path wants to reconcile the layout, but the membership
-   machinery is defined after the reconnect loop; tied together below. *)
-let on_session_renewed : (t -> unit) ref = ref (fun _ -> ())
+(* The node no longer hosts [range]: drop the replica and its log records.
+   Without the log drop, a node later re-added to a range it once hosted
+   would recover stale commit markers and reject perfectly good data. *)
+let retire_cohort t ~range =
+  match List.assoc_opt range t.cohorts with
+  | None -> ()
+  | Some c ->
+    Cohort.retire c;
+    t.cohorts <- List.remove_assoc range t.cohorts;
+    Storage.Wal.drop_cohort t.wal ~cohort:range;
+    Sim.Trace.event t.trace ~node:t.id ~cohort:range ~tag:"range_retired"
+      (Printf.sprintf "r%d n%d" range t.id)
 
+(* Sessions and hosted ranges are one recursive group, because the cycle is
+   real: a new session's expiry handler starts the reconnect loop, a renewed
+   session reconciles the layout, reconciling builds cohorts, and every
+   cohort reaches the coordination service through [zk_exn]. *)
 let rec zk_exn t =
   match t.zk with
   | Some zk when Coord.Zk_client.alive zk -> zk
@@ -107,7 +120,8 @@ and reconnect_zk t =
           (Printf.sprintf "n%d session renewed" t.id);
         (* Catch up on layout changes missed while disconnected, then let
            every cohort fall back in line under the current layout. *)
-        !on_session_renewed t;
+        Coord.Zk_client.get_data (zk_exn t) ~path:"/layout" (fun r ->
+            if t.alive then adopt_layout t r);
         List.iter (fun (_, c) -> Cohort.zk_session_renewed c) t.cohorts
       end
       else ignore (Sim.Engine.schedule t.engine ~after:retry_after attempt)
@@ -116,18 +130,10 @@ and reconnect_zk t =
   in
   ignore (Sim.Engine.schedule t.engine ~after:retry_after attempt)
 
-let set_zk_reachable t r =
-  if t.zk_reachable <> r then begin
-    t.zk_reachable <- r;
-    Sim.Trace.event t.trace ~node:t.id ~tag:"zk_link"
-      (Printf.sprintf "n%d coordination link %s" t.id (if r then "healed" else "cut"));
-    match t.zk with Some zk -> Coord.Zk_client.set_reachable zk r | None -> ()
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Cohort construction and the live-membership machinery (§10).        *)
 
-let rec make_cohort_with_store t range store =
+and make_cohort_with_store t range store =
   let ctx : Cohort.ctx =
     {
       engine = t.engine;
@@ -168,34 +174,6 @@ and make_cohort t range =
   | lo, hi -> Storage.Store.set_bounds store ~lo ~hi
   | exception _ -> ());
   make_cohort_with_store t range store
-
-(* The node no longer hosts [range]: drop the replica and its log records.
-   Without the log drop, a node later re-added to a range it once hosted
-   would recover stale commit markers and reject perfectly good data. *)
-and retire_cohort t ~range =
-  match List.assoc_opt range t.cohorts with
-  | None -> ()
-  | Some c ->
-    Cohort.retire c;
-    t.cohorts <- List.remove_assoc range t.cohorts;
-    Storage.Wal.drop_cohort t.wal ~cohort:range;
-    Sim.Trace.event t.trace ~node:t.id ~cohort:range ~tag:"range_retired"
-      (Printf.sprintf "r%d n%d" range t.id)
-
-(* A snapshot chunk arrived for a range this node does not host: a migration
-   source picked us as the joiner. Spawn a learner replica on a clean slate. *)
-and ensure_learner t ~range ~src =
-  match List.assoc_opt range t.cohorts with
-  | Some c -> Some c
-  | None ->
-    if Partition.mem_range t.partition ~range then begin
-      Storage.Wal.drop_cohort t.wal ~cohort:range;
-      let c = make_cohort t range in
-      t.cohorts <- t.cohorts @ [ (range, c) ];
-      Cohort.start_learner c ~leader:src;
-      Some c
-    end
-    else None
 
 (* Publish the routing table to /layout so clients (and nodes that slept
    through a change) can refresh; versioned, so stale publications lose. *)
@@ -331,27 +309,40 @@ and arm_layout_watch t =
         if t.alive && t.incarnation = inc then begin
           t.layout_watch_armed <- false;
           Coord.Zk_client.get_data zk ~path:"/layout" (fun r ->
-              if t.alive && t.incarnation = inc then begin
-                (match r with
-                | Ok data -> ignore (Partition.update_from_string t.partition data)
-                | Error _ -> ());
-                reconcile_layout t;
-                arm_layout_watch t
-              end)
+              if t.alive && t.incarnation = inc then adopt_layout t r)
         end)
   end
 
-let () =
-  on_session_renewed :=
-    fun t ->
-      Coord.Zk_client.get_data (zk_exn t) ~path:"/layout" (fun r ->
-          if t.alive then begin
-            (match r with
-            | Ok data -> ignore (Partition.update_from_string t.partition data)
-            | Error _ -> ());
-            reconcile_layout t;
-            arm_layout_watch t
-          end)
+(* Adopt a /layout read: bring the hosted set in line and re-arm the watch. *)
+and adopt_layout t r =
+  (match r with
+  | Ok data -> ignore (Partition.update_from_string t.partition data)
+  | Error _ -> ());
+  reconcile_layout t;
+  arm_layout_watch t
+
+(* A snapshot chunk arrived for a range this node does not host: a migration
+   source picked us as the joiner. Spawn a learner replica on a clean slate. *)
+let ensure_learner t ~range ~src =
+  match List.assoc_opt range t.cohorts with
+  | Some c -> Some c
+  | None ->
+    if Partition.mem_range t.partition ~range then begin
+      Storage.Wal.drop_cohort t.wal ~cohort:range;
+      let c = make_cohort t range in
+      t.cohorts <- t.cohorts @ [ (range, c) ];
+      Cohort.start_learner c ~leader:src;
+      Some c
+    end
+    else None
+
+let set_zk_reachable t r =
+  if t.zk_reachable <> r then begin
+    t.zk_reachable <- r;
+    Sim.Trace.event t.trace ~node:t.id ~tag:"zk_link"
+      (Printf.sprintf "n%d coordination link %s" t.id (if r then "healed" else "cut"));
+    match t.zk with Some zk -> Coord.Zk_client.set_reachable zk r | None -> ()
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch.                                                           *)

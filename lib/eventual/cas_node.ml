@@ -344,8 +344,9 @@ let handle_tree_exchange t ~range ~tree ~reply_to =
     let mine = Merkle.build (Store.all_cells store) in
     let differing = Merkle.diff mine tree in
     if differing <> [] then begin
-      Sim.Trace.emitf t.trace ~tag:"anti_entropy" "r%d n%d<->n%d %d coords" range t.id
-        reply_to (List.length differing);
+      if Sim.Trace.is_enabled t.trace then
+        Sim.Trace.event t.trace ~tag:"anti_entropy"
+          (Printf.sprintf "r%d n%d<->n%d %d coords" range t.id reply_to (List.length differing));
       (* Pull the peer's versions and push ours: both sides converge. *)
       send t ~dst:reply_to (Cas_message.Tree_cells_request { range; coords = differing; reply_to = t.id });
       let cells =
@@ -412,7 +413,8 @@ let crash t =
     Hashtbl.reset t.pending_writes;
     Hashtbl.reset t.pending_reads;
     Hashtbl.reset t.pending_hints;
-    Sim.Trace.emitf t.trace ~tag:"node_crash" "cas n%d" t.id
+    if Sim.Trace.is_enabled t.trace then
+      Sim.Trace.event t.trace ~tag:"node_crash" (Printf.sprintf "cas n%d" t.id)
   end
 
 let restart t =
@@ -427,7 +429,8 @@ let restart t =
       t.stores;
     start_hint_replay t;
     start_anti_entropy t;
-    Sim.Trace.emitf t.trace ~tag:"node_restart" "cas n%d" t.id
+    if Sim.Trace.is_enabled t.trace then
+      Sim.Trace.event t.trace ~tag:"node_restart" (Printf.sprintf "cas n%d" t.id)
   end
 
 let lose_disk t =

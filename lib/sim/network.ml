@@ -76,7 +76,7 @@ let attach_trace t trace = t.trace <- Some trace
 let emit t fmt =
   match t.trace with
   | Some tr when Trace.is_enabled tr ->
-    Printf.ksprintf (fun s -> Trace.emit tr ~tag:"net" s) fmt
+    Printf.ksprintf (fun s -> Trace.event tr ~tag:"net" s) fmt
   | _ -> Printf.ikfprintf ignore () fmt
 
 (* Endpoints live in an array indexed by node id (node ids are small dense

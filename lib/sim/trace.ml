@@ -85,9 +85,6 @@ let event t ?(kind = Instant) ?(trace_id = -1) ?(span_id = 0) ?(node = -1) ?(coh
     ?(lsn = "") ~tag detail =
   push t { at = Engine.now t.engine; tag; detail; kind; trace_id; span_id; node; cohort; lsn }
 
-let emit t ~tag detail = event t ~tag detail
-let emitf t ~tag fmt = Format.kasprintf (fun s -> emit t ~tag s) fmt
-
 let span_start t ?trace_id ?node ?cohort ?lsn ~tag detail =
   t.next_span <- t.next_span + 1;
   let id = t.next_span in

@@ -58,11 +58,6 @@ val event :
   unit
 (** Fully general emitter; the named emitters below cover the common cases. *)
 
-val emit : t -> tag:string -> string -> unit
-(** Unstructured instant (back-compat with the flat string trace). *)
-
-val emitf : t -> tag:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
-
 val span_start :
   t ->
   ?trace_id:int ->

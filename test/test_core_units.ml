@@ -67,10 +67,10 @@ let prop_key_encoding_order_preserving =
 
 (* --- commit queue -------------------------------------------------------------- *)
 
-let add q ~l ?reply () =
+let add q ~l () =
   Commit_queue.add q ~lsn:l
     ~op:(Storage.Log_record.Put { key = "k"; col = "c"; value = "v"; version = l.Lsn.seq })
-    ~timestamp:0 ?reply ()
+    ~timestamp:0 ()
 
 let test_queue_commit_order_and_quorum () =
   let q = Commit_queue.create () in

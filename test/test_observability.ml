@@ -49,7 +49,7 @@ let test_ring_buffer_overwrite () =
   let trace = Sim.Trace.create ~capacity:8 engine in
   check_int "capacity" 8 (Sim.Trace.capacity trace);
   for i = 0 to 19 do
-    Sim.Trace.emit trace ~tag:(Printf.sprintf "t%d" i) "x"
+    Sim.Trace.event trace ~tag:(Printf.sprintf "t%d" i) "x"
   done;
   check_int "length capped" 8 (Sim.Trace.length trace);
   check_int "dropped counts overwrites" 12 (Sim.Trace.dropped trace);
@@ -83,10 +83,10 @@ let test_disabled_trace_drops () =
   let engine = Sim.Engine.create () in
   let trace = Sim.Trace.create ~capacity:8 engine in
   Sim.Trace.enable trace false;
-  Sim.Trace.emit trace ~tag:"t" "x";
+  Sim.Trace.event trace ~tag:"t" "x";
   check_int "nothing recorded" 0 (Sim.Trace.length trace);
   Sim.Trace.enable trace true;
-  Sim.Trace.emit trace ~tag:"t" "x";
+  Sim.Trace.event trace ~tag:"t" "x";
   check_int "recording again" 1 (Sim.Trace.length trace)
 
 (* --- metrics registry ------------------------------------------------------- *)
@@ -510,6 +510,151 @@ let prop_critpath_conservation =
         (fun r -> Sim.Critpath.conservation_error r <= 0.01)
         analysis.Sim.Critpath.requests)
 
+(* --- read spans pair up on every path --------------------------------------- *)
+
+(* Requests are injected straight into a cohort on behalf of a client id no
+   node serves, so every reply is dropped; what is checked is the request's
+   trace: each read opens exactly one [phase.read] span and closes that span
+   exactly once, whether it is served or refused. *)
+let span_client = 77_000
+
+let check_read_span cluster ~what request_id =
+  let trace_id = Sim.Trace.request_trace_id ~client:span_client ~request_id in
+  let spans kind =
+    List.filter_map
+      (fun e ->
+        if
+          e.Sim.Trace.trace_id = trace_id
+          && String.equal e.Sim.Trace.tag "phase.read"
+          && e.Sim.Trace.kind = kind
+        then Some e.Sim.Trace.span_id
+        else None)
+      (Sim.Trace.events (Cluster.trace cluster))
+  in
+  match (spans Sim.Trace.Span_start, spans Sim.Trace.Span_end) with
+  | [ opened ], [ closed ] -> check_int (what ^ ": the end closes the start") opened closed
+  | starts, ends ->
+    Alcotest.failf "%s: %d phase.read starts, %d ends" what (List.length starts)
+      (List.length ends)
+
+let range0_cohort cluster ~leader =
+  let leader_id = Option.get (Cluster.leader_of cluster ~range:0) in
+  let node =
+    if leader then leader_id
+    else List.find (fun n -> n <> leader_id) (Partition.cohort (Cluster.partition cluster) ~range:0)
+  in
+  (node, Option.get (Node.cohort (Cluster.node cluster node) ~range:0))
+
+(* A token no replica will reach: a read carrying it parks until its
+   staleness bound. *)
+let unreachable_token = Storage.Lsn.make ~epoch:1_000_000 ~seq:1
+
+(* The read kinds the strong gate admits, and the kinds a token parks. *)
+let strong_reads key ~hi =
+  let token = Storage.Lsn.zero in
+  [
+    ("get", Message.Get { key; col = "c"; consistent = true; token });
+    ("multi_get", Message.Multi_get { key; cols = [ "a"; "b" ]; consistent = true; token });
+    ("scan", Message.Scan { start_key = key; end_key = hi; limit = 10; consistent = true; token });
+    ("fence", Message.Fence { key });
+  ]
+
+let parked_reads key ~hi =
+  let token = unreachable_token in
+  [
+    ("get", Message.Get { key; col = "c"; consistent = false; token });
+    ("multi_get", Message.Multi_get { key; cols = [ "a"; "b" ]; consistent = false; token });
+    ("scan", Message.Scan { start_key = key; end_key = hi; limit = 10; consistent = false; token });
+    ("snap_get", Message.Snap_get { key; col = "c"; fence = token; fence_ts = 0 });
+  ]
+
+(* Inject [reads] into cohort [c] under consecutive request ids from
+   [first]; [check_reads] later checks the span of each. *)
+let inject_reads c ~first reads =
+  List.iteri
+    (fun i (_, op) -> Cohort.handle_client c ~client:span_client ~request_id:(first + i) op)
+    reads
+
+let check_reads cluster ~path ~first reads =
+  List.iteri
+    (fun i (kind, _) -> check_read_span cluster ~what:(kind ^ ", " ^ path) (first + i))
+    reads
+
+let range0_reads cluster =
+  let partition = Cluster.partition cluster in
+  let key = Partition.key_of_int partition 1 in
+  let hi = snd (Partition.range_bounds partition ~range:0) in
+  (strong_reads key ~hi, parked_reads key ~hi)
+
+(* Cut the range-0 leader off from its followers and make it guard strong
+   reads with a read-index round that therefore never completes. *)
+let isolate_guarded_leader cluster =
+  let node, c = range0_cohort cluster ~leader:true in
+  Cohort.set_lease_disabled c true;
+  let others =
+    List.filter (fun n -> n <> node) (List.init test_config.Config.nodes Fun.id)
+  in
+  Sim.Network.partition (Cluster.net cluster) [ node ] others;
+  (node, c)
+
+let test_read_spans_pair_up () =
+  (* Served, refused by a follower, redirected by the token deadline, and
+     refused to a parked read by [retire]. *)
+  let engine, cluster = boot () in
+  let strong, parked = range0_reads cluster in
+  let _, leader = range0_cohort cluster ~leader:true in
+  let _, follower = range0_cohort cluster ~leader:false in
+  let key = Partition.key_of_int (Cluster.partition cluster) 1 in
+  let snap = [ ("snap_get", Message.Snap_get { key; col = "c"; fence = Storage.Lsn.zero; fence_ts = 0 }) ] in
+  inject_reads leader ~first:0 strong;
+  inject_reads follower ~first:10 snap;
+  inject_reads follower ~first:20 strong;
+  inject_reads follower ~first:30 parked;
+  Sim.Engine.run_for engine (Sim.Sim_time.ms 200);
+  check_reads cluster ~path:"served" ~first:0 strong;
+  check_reads cluster ~path:"served" ~first:10 snap;
+  check_reads cluster ~path:"strong read at a follower" ~first:20 strong;
+  check_reads cluster ~path:"token redirect" ~first:30 parked;
+  check_int "every parked read was redirected" 4 (Cohort.read_stats follower).Cohort.token_redirects;
+  inject_reads follower ~first:40 parked;
+  Cohort.retire follower;
+  check_reads cluster ~path:"parked read refused by retire" ~first:40 parked;
+  (* A read-index round that never gathers its quorum times out. *)
+  let engine, cluster = boot () in
+  let strong, _ = range0_reads cluster in
+  let _, leader = isolate_guarded_leader cluster in
+  inject_reads leader ~first:0 strong;
+  Sim.Engine.run_for engine (Sim.Sim_time.ms 400);
+  check_reads cluster ~path:"guard timeout" ~first:0 strong;
+  check_int "every round timed out" 4 (Cohort.read_stats leader).Cohort.guard_fails;
+  (* The leader is deposed while the rounds are pending. *)
+  let engine, cluster = boot () in
+  let strong, _ = range0_reads cluster in
+  let node, leader = isolate_guarded_leader cluster in
+  inject_reads leader ~first:0 strong;
+  let src = List.find (fun n -> n <> node) (Partition.cohort (Cluster.partition cluster) ~range:0) in
+  Cohort.handle_peer leader ~src ~sent_at:(Sim.Engine.now engine)
+    (Message.Takeover_query { range = 0; epoch = Cohort.epoch leader + 1 });
+  check_bool "deposed" true (Cohort.role leader = Cohort.Follower);
+  check_reads cluster ~path:"guard abandoned by stepdown" ~first:0 strong;
+  (* The lease lapses while the leader still holds the role. *)
+  let engine, cluster = boot () in
+  let strong, _ = range0_reads cluster in
+  let node, leader = range0_cohort cluster ~leader:true in
+  Cluster.set_zk_reachable cluster node false;
+  let deadline = Sim.Sim_time.add (Sim.Engine.now engine) (Sim.Sim_time.sec 2) in
+  while
+    Cohort.lease_valid leader && Sim.Sim_time.(Sim.Engine.now engine < deadline)
+  do
+    Sim.Engine.run_for engine (Sim.Sim_time.ms 1)
+  done;
+  check_bool "lease lapsed while still leader" true
+    ((not (Cohort.lease_valid leader)) && Cohort.role leader = Cohort.Leader);
+  inject_reads leader ~first:0 strong;
+  check_int "every read refused for the lapsed lease" 4
+    (Cohort.read_stats leader).Cohort.lease_rejects;
+  check_reads cluster ~path:"lease lapse" ~first:0 strong
+
 let suite =
   [
     Alcotest.test_case "trace: ring overwrites oldest and counts drops" `Quick
@@ -532,4 +677,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_critpath_conservation;
     Alcotest.test_case "timeline: failover analysis measures the outage" `Slow
       test_failover_timeline;
+    Alcotest.test_case "spans: every read kind closes phase.read once, served or refused"
+      `Quick test_read_spans_pair_up;
   ]
