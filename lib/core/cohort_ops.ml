@@ -56,6 +56,9 @@ let plain_op t (op : Message.client_op) =
   | Message.Put { key; col; value } -> Append [ put key col value (next_version t (key, col)) ]
   | Message.Delete { key; col } ->
     Append [ Log_record.Delete { key; col; version = next_version t (key, col) } ]
+  | Message.Multi_put { cols = []; _ } | Message.Multi_conditional_put { cols = []; _ } ->
+    (* An empty multi-column write has nothing to log: it succeeds at once. *)
+    Answer (Message.Written { lsn = t.cmt })
   | Message.Multi_put { key; cols } ->
     Append (List.map (fun (col, value) -> put key col value (next_version t (key, col))) cols)
   | Message.Conditional_put { key; col; value; expected } ->

@@ -339,7 +339,6 @@ and perform_write t ~arrived ~client ~request_id op =
     let ts = now_us t in
     match Cohort_ops.translate t ~ts op with
     | Cohort_ops.Answer reply -> reply_write t ~client ~request_id reply
-    | Cohort_ops.Append [] -> (* an empty multi-column write has nothing to log *) ()
     | Cohort_ops.Append ops ->
       let writes = append_records t ~ts ~origin:(client, request_id) ops in
       track_write t ~client ~request_id ~arrived;

@@ -176,6 +176,20 @@ let test_multi_conditional_put () =
   check_bool "any stale version fails" true (Result.is_error (await engine r3));
   Alcotest.(check (option string)) "a kept" (Some "10") (value_of (get_sync engine client key "a"))
 
+(* An empty multi-column write logs nothing; the leader must still answer it,
+   so the client completes instead of retrying until it times out. *)
+let test_empty_multi_column_writes () =
+  let engine, cluster = boot () in
+  let client = Cluster.new_client cluster in
+  let key = key_for cluster 12 in
+  let timeout = test_config.Config.client_timeout in
+  let r = ref None in
+  Client.multi_put client key [] (fun x -> r := Some x);
+  check_bool "empty multi_put ok" true (Result.is_ok (await engine ~timeout r));
+  let r2 = ref None in
+  Client.multi_conditional_put client key [] (fun x -> r2 := Some x);
+  check_bool "empty multi_conditional_put ok" true (Result.is_ok (await engine ~timeout r2))
+
 (* --- multi-operation transactions (§8.2 extension) ----------------------------- *)
 
 let test_transaction_commits_atomically () =
@@ -953,4 +967,6 @@ let suite =
     Alcotest.test_case "chaos: no acked write lost" `Slow test_chaos_no_acked_write_lost;
     Alcotest.test_case "reply cache: per-client window holds" `Quick
       test_reply_cache_window_bounded;
+    Alcotest.test_case "multi-column write: empty columns answered" `Quick
+      test_empty_multi_column_writes;
   ]
