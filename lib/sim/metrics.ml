@@ -177,6 +177,7 @@ module Histogram = struct
     end
 
   let clear t =
+    t.samples <- [||];
     t.len <- 0;
     t.sorted_cache <- None
 

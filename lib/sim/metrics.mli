@@ -37,6 +37,7 @@ module Histogram : sig
   val stddev : t -> float
 
   val clear : t -> unit
+  (** Drop every sample and release the sample buffer. *)
 
   val merge : t -> t -> t
   (** Fresh histogram with both sample sets. *)

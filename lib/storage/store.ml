@@ -1,11 +1,5 @@
 type read_cost = Cache_hit | Probed of int
 
-(* One entry in a coordinate's in-memory version chain (newest first).
-   [mv_txn_ts] is [Some ts] when the cell was installed by a committed
-   transaction: its visibility under a snapshot is decided by the commit
-   timestamp, not the per-range LSN. *)
-type mvcc_version = { mv_cell : Row.cell; mv_txn_ts : int option }
-
 type snap_result =
   | Snap_cell of Row.cell  (** visible at the fence (may be a tombstone) *)
   | Snap_none  (** nothing visible at the fence *)
@@ -58,15 +52,19 @@ type t = {
       (** largest total SSTable footprint observed when a compaction ran —
           the denominator of the tier-bounded-work claim *)
   mutable applied_since_flush : int;  (** records applied since the last flush *)
-  mvcc_depth : int;  (** per-coordinate version-chain cap *)
-  mvcc : (Row.coord, mvcc_version list) Hashtbl.t;
-      (** in-memory version chains, newest first; rebuilt from the WAL on
-          recovery. Log rollover keeps every record a transactional chain
-          still holds (see [log_floor]), so recovery rebuilds those chains
-          whole. A chain that held only plain versions at a rollover loses
-          the versions below that checkpoint on a crash: a read below what
-          is left falls back to the newest visible cell in the memtable and
-          SSTables, which keep one version per coordinate each *)
+  mvcc : (Row.coord, Row.cell list) Hashtbl.t;
+      (** in-memory version chains, newest first (a cell's own [txn_ts]
+          classifies it), kept only where the LSM alone cannot answer: a
+          coordinate is chained from its second version on, or from its
+          first when that is a tombstone (full compaction drops it) or was
+          installed by a committed transaction (its history pins the log,
+          see [log_floor]). A coordinate with one plain version has no
+          chain: the LSM's newest cell is that version. Rebuilt from the
+          WAL on recovery. A chain that held only plain versions at a
+          rollover loses the versions below that checkpoint on a crash: a
+          read below what is left falls back to the newest visible cell in
+          the memtable and SSTables, which keep one version per coordinate
+          each *)
   txn_coords : (Row.coord, unit) Hashtbl.t;
       (** coordinates whose chain a committed transaction touched — the
           chains that pin the log GC floor *)
@@ -76,7 +74,7 @@ type t = {
 
 let create ~cohort ~wal ?(newer = Row.newer_by_lsn) ?(flush_bytes = 4 * 1024 * 1024)
     ?(compaction_fanin = 4) ?(max_sstables = 16) ?(tier_growth = Compaction.default_growth)
-    ?(cache_capacity = 0) ?(mvcc_depth = 64) () =
+    ?(cache_capacity = 0) () =
   {
     cohort;
     wal;
@@ -104,7 +102,6 @@ let create ~cohort ~wal ?(newer = Row.newer_by_lsn) ?(flush_bytes = 4 * 1024 * 1
     total_compaction_input_bytes = 0;
     max_store_bytes = 0;
     applied_since_flush = 0;
-    mvcc_depth;
     mvcc = Hashtbl.create 256;
     txn_coords = Hashtbl.create 16;
     intents = Hashtbl.create 16;
@@ -229,6 +226,10 @@ let major_compact t =
    otherwise keep every record it ever applied. *)
 let flush_records = 4096
 
+(* Per-coordinate version-chain cap: a snapshot read below it falls back to
+   the newest visible version still in the memtable or SSTables. *)
+let mvcc_depth = 64
+
 (* The log GC point of a flush at [upto]: the checkpoint, lowered to keep
    the oldest version of every chain a committed transaction touched. Chains
    are volatile and recovery rebuilds them from the log alone — an SSTable
@@ -236,7 +237,7 @@ let flush_records = 4096
    lose the snapshot history an interval read needs after a crash. Walks
    only [txn_coords]: a store no transaction touched rolls over at [upto]. *)
 let log_floor t ~upto =
-  let rec oldest = function [ v ] -> v.mv_cell.Row.lsn | _ :: tl -> oldest tl | [] -> upto in
+  let rec oldest = function [ (c : Row.cell) ] -> c.lsn | _ :: tl -> oldest tl | [] -> upto in
   Hashtbl.fold
     (fun coord () floor ->
       match Hashtbl.find_opt t.mvcc coord with
@@ -277,29 +278,74 @@ let flush t =
 (* ------------------------------------------------------------------ *)
 (* MVCC chains and the intent index, maintained on every applied cell.   *)
 
-let push_version t coord (cell : Row.cell) ~txn_ts =
-  let chain = match Hashtbl.find_opt t.mvcc coord with Some l -> l | None -> [] in
-  let entry = { mv_cell = cell; mv_txn_ts = txn_ts } in
+(* The uncached lookup: newest cell across memtable and SSTables, counting
+   how many tables were actually probed (bloom/LSN-pruned tables are not).
+   [count] says whether to account the probe in [sstables_probed] and
+   [sstables_skipped]: reads do; a probe that stands in for a missing chain
+   (the coordinate's one version) does not. *)
+let lookup t ~count coord =
+  let best = ref (Memtable.get t.memtable coord) in
+  let probed = ref 0 in
+  let consider cell =
+    match !best with
+    | Some existing when t.newer existing cell -> ()
+    | _ -> best := Some cell
+  in
+  List.iter
+    (fun table ->
+      (* Skip tables that cannot beat the best cell found so far: bloom says
+         the key is absent, or (under LSN order) every cell in the table is
+         at or below the current best. Equal LSNs denote the same write, so
+         skipping the tie is safe. *)
+      let cannot_win =
+        (not (Sstable.may_contain_key table (fst coord)))
+        ||
+        match !best with
+        | Some existing when t.lsn_ordered -> Lsn.(existing.Row.lsn >= Sstable.max_lsn table)
+        | _ -> false
+      in
+      if cannot_win then (if count then t.sstables_skipped <- t.sstables_skipped + 1)
+      else begin
+        incr probed;
+        if count then t.sstables_probed <- t.sstables_probed + 1;
+        match Sstable.get table coord with Some cell -> consider cell | None -> ()
+      end)
+    t.sstables;
+  (!best, !probed)
+
+(* Whether the LSM alone could not stand in for [chain]: it holds more than
+   one version, or its one version is a tombstone or transactional. *)
+let needs_chain = function
+  | [] -> false
+  | [ (c : Row.cell) ] -> Row.is_tombstone c || c.txn_ts <> None
+  | _ :: _ :: _ -> true
+
+(* [chain] with [cell] in descending-LSN position, capped at [mvcc_depth]. *)
+let insert_version chain (cell : Row.cell) =
   let chain =
     match chain with
-    | head :: rest when Lsn.equal head.mv_cell.Row.lsn cell.Row.lsn ->
+    | (head : Row.cell) :: rest when Lsn.equal head.lsn cell.lsn ->
       (* Idempotent re-apply (catch-up, recovery replay): replace in place. *)
-      entry :: rest
-    | head :: _ when Lsn.(cell.Row.lsn < head.mv_cell.Row.lsn) ->
+      cell :: rest
+    | head :: _ when Lsn.(cell.lsn < head.lsn) ->
       (* Out-of-order duplicate below the head: already represented. *)
-      if List.exists (fun v -> Lsn.equal v.mv_cell.Row.lsn cell.Row.lsn) chain then chain
+      if List.exists (fun (v : Row.cell) -> Lsn.equal v.lsn cell.lsn) chain then chain
       else
         (* Insert in descending-LSN position (rare; bounded by the cap). *)
         let rec ins = function
-          | v :: tl when Lsn.(v.mv_cell.Row.lsn > cell.Row.lsn) -> v :: ins tl
-          | tl -> entry :: tl
+          | (v : Row.cell) :: tl when Lsn.(v.lsn > cell.lsn) -> v :: ins tl
+          | tl -> cell :: tl
         in
         ins chain
-    | _ -> entry :: chain
+    | _ -> cell :: chain
   in
-  let chain = if List.length chain > t.mvcc_depth then List.filteri (fun i _ -> i < t.mvcc_depth) chain else chain in
+  if List.length chain > mvcc_depth then List.filteri (fun i _ -> i < mvcc_depth) chain else chain
+
+(* Store [chain] for [coord]; a transactional [cell] marks the coordinate as
+   pinning the log GC floor. *)
+let set_chain t coord chain (cell : Row.cell) =
   Hashtbl.replace t.mvcc coord chain;
-  if txn_ts <> None then Hashtbl.replace t.txn_coords coord ()
+  if cell.txn_ts <> None then Hashtbl.replace t.txn_coords coord ()
 
 (* Track an applied intent/decision system cell in the in-memory intent
    index. Driven by the cell's coordinate, not the op shape, so catch-up
@@ -360,10 +406,21 @@ let track_system_cell t (key, col) (cell : Row.cell) =
    which ship materialized cells, classify versions identically. *)
 let ingest_cell t ((key, col) as coord) (cell : Row.cell) =
   if in_bounds t key then begin
-    Memtable.put t.memtable ~newer:t.newer coord cell;
-    if Row.is_system_col col then track_system_cell t coord cell
+    if Row.is_system_col col then begin
+      Memtable.put t.memtable ~newer:t.newer coord cell;
+      track_system_cell t coord cell
+    end
     else begin
-      push_version t coord cell ~txn_ts:cell.Row.txn_ts;
+      (* The coordinate's history so far: its chain, or else the one version
+         the LSM holds, read before the memtable overwrites it. *)
+      let chain =
+        match Hashtbl.find_opt t.mvcc coord with
+        | Some chain -> chain
+        | None -> Option.to_list (fst (lookup t ~count:false coord))
+      in
+      Memtable.put t.memtable ~newer:t.newer coord cell;
+      let chain = insert_version chain cell in
+      if needs_chain chain then set_chain t coord chain cell;
       (* Write-through invalidation: the next read re-resolves the winner. *)
       match t.cache with Some c -> Cache.invalidate c coord | None -> ()
     end
@@ -377,42 +434,10 @@ let apply t ~lsn ~timestamp op =
   if Memtable.approx_bytes t.memtable >= t.flush_bytes || t.applied_since_flush >= flush_records
   then flush t
 
-(* The uncached lookup: newest cell across memtable and SSTables, counting
-   how many tables were actually probed (bloom/LSN-pruned tables are not). *)
-let lookup t coord =
-  let best = ref (Memtable.get t.memtable coord) in
-  let probed = ref 0 in
-  let consider cell =
-    match !best with
-    | Some existing when t.newer existing cell -> ()
-    | _ -> best := Some cell
-  in
-  List.iter
-    (fun table ->
-      (* Skip tables that cannot beat the best cell found so far: bloom says
-         the key is absent, or (under LSN order) every cell in the table is
-         at or below the current best. Equal LSNs denote the same write, so
-         skipping the tie is safe. *)
-      let cannot_win =
-        (not (Sstable.may_contain_key table (fst coord)))
-        ||
-        match !best with
-        | Some existing when t.lsn_ordered -> Lsn.(existing.Row.lsn >= Sstable.max_lsn table)
-        | _ -> false
-      in
-      if cannot_win then t.sstables_skipped <- t.sstables_skipped + 1
-      else begin
-        incr probed;
-        t.sstables_probed <- t.sstables_probed + 1;
-        match Sstable.get table coord with Some cell -> consider cell | None -> ()
-      end)
-    t.sstables;
-  (!best, !probed)
-
 let get_profiled t coord =
   match t.cache with
   | None ->
-    let cell, probed = lookup t coord in
+    let cell, probed = lookup t ~count:true coord in
     (cell, Probed probed)
   | Some cache ->
     (* System columns (intents, decision records) bypass the row cache in
@@ -420,14 +445,14 @@ let get_profiled t coord =
        a cached copy could hand a snapshot reader a stale resolution
        state. *)
     if Row.is_system_col (snd coord) then begin
-      let cell, probed = lookup t coord in
+      let cell, probed = lookup t ~count:true coord in
       (cell, Probed probed)
     end
     else (
       match Cache.find cache coord with
       | Some cell -> (cell, Cache_hit)
       | None ->
-        let cell, probed = lookup t coord in
+        let cell, probed = lookup t ~count:true coord in
         Cache.put cache coord cell;
         (cell, Probed probed))
 
@@ -462,7 +487,7 @@ let all_versions_at t coord =
 let snapshot_get t coord ~fence ~fence_ts =
   let key, col = coord in
   let blocked_by =
-    match fst (lookup t (key, Row.intent_col col)) with
+    match fst (lookup t ~count:true (key, Row.intent_col col)) with
     | Some c when (not (Row.is_tombstone c)) && Lsn.(c.Row.lsn <= fence) -> (
       match c.Row.value with
       | Some payload -> (
@@ -473,42 +498,41 @@ let snapshot_get t coord ~fence ~fence_ts =
   match blocked_by with
   | Some txn -> Snap_blocked txn
   | None -> (
-    let fallback () =
+    let visible (c : Row.cell) =
+      match c.txn_ts with Some ts -> ts <= fence_ts | None -> Lsn.(c.lsn <= fence)
+    in
+    let newest_visible =
+      match Hashtbl.find_opt t.mvcc coord with
+      | Some chain -> List.find_opt visible chain
+      | None -> (
+        (* Unchained: the LSM's newest cell is the coordinate's one version. *)
+        match fst (lookup t ~count:false coord) with
+        | Some c when visible c -> Some c
+        | _ -> None)
+    in
+    match newest_visible with
+    | Some c -> Snap_cell c
+    | None -> (
       (* The chain does not cover the fence (deep history only in SSTables,
          the coordinate was never chained, or the chain was reset by a
          crash): every durable version still carries its own classification,
          so the interval rule applies cell by cell — commit-timestamp
          visibility for transactional versions, plain LSN for the rest. *)
-      let visible (c : Row.cell) =
-        match c.txn_ts with Some ts -> ts <= fence_ts | None -> Lsn.(c.lsn <= fence)
-      in
       match List.filter visible (all_versions_at t coord) with
       | [] -> Snap_none
-      | c :: rest -> Snap_cell (List.fold_left (fun a b -> if t.newer a b then a else b) c rest)
-    in
-    match Hashtbl.find_opt t.mvcc coord with
-    | Some chain -> (
-      match
-        List.find_opt
-          (fun v ->
-            match v.mv_txn_ts with
-            | Some ts -> ts <= fence_ts
-            | None -> Lsn.(v.mv_cell.Row.lsn <= fence))
-          chain
-      with
-      | Some v -> Snap_cell v.mv_cell
-      | None -> fallback ())
-    | None -> fallback ())
+      | c :: rest -> Snap_cell (List.fold_left (fun a b -> if t.newer a b then a else b) c rest)))
 
 (* Newest installed version of a base coordinate with its transactional
    classification — the first-committer-wins conflict check's input. *)
 let head_info t coord =
   match Hashtbl.find_opt t.mvcc coord with
-  | Some (v :: _) -> Some (v.mv_cell.Row.lsn, v.mv_txn_ts)
+  | Some ((c : Row.cell) :: _) -> Some (c.lsn, c.txn_ts)
   | _ -> (
-    match fst (lookup t coord) with
+    match fst (lookup t ~count:false coord) with
     | Some c -> Some (c.Row.lsn, c.Row.txn_ts)
     | None -> None)
+
+let chained_coords t = Hashtbl.length t.mvcc
 
 (* ------------------------------------------------------------------ *)
 (* Intent index accessors.                                              *)
@@ -656,7 +680,9 @@ let replay t ~above ~upto f =
 
 (* Shared prologue of both recoveries: reset the volatile state, rederive the
    flush horizon, and rebuild the chains from the records rollover kept at
-   or below it — chains only, their data is already in SSTables. *)
+   or below it — chains only, their data is already in SSTables. The records
+   themselves make up each chain (the LSM's newest cell is one of them, not
+   their predecessor); a coordinate left with one plain version gets none. *)
 let recover_prefix t =
   t.memtable <- Memtable.create ();
   t.applied_since_flush <- 0;
@@ -669,7 +695,11 @@ let recover_prefix t =
   t.flushed_upto <- Lsn.max t.flushed_upto (Lsn.max checkpoint t.inherited_upto);
   replay t ~above:Lsn.zero ~upto:t.flushed_upto (fun ((key, col) as coord) cell ->
       if in_bounds t key && not (Row.is_system_col col) then
-        push_version t coord cell ~txn_ts:cell.Row.txn_ts)
+        let chain = Option.value (Hashtbl.find_opt t.mvcc coord) ~default:[] in
+        set_chain t coord (insert_version chain cell) cell);
+  Hashtbl.filter_map_inplace
+    (fun _ chain -> if needs_chain chain then Some chain else None)
+    t.mvcc
 
 let recover t =
   recover_prefix t;
@@ -706,11 +736,11 @@ let chain_history_cells t =
     (fun coord chain acc ->
       match chain with
       | [] | [ _ ] -> acc
-      | _ :: tail when List.exists (fun v -> v.mv_txn_ts <> None) chain ->
+      | _ :: tail when List.exists (fun (c : Row.cell) -> c.txn_ts <> None) chain ->
         (* Only chains a committed transaction ever touched: interval reads
            classify plain-only chains by LSN, and skipping them keeps
            migration payloads byte-identical for non-transactional runs. *)
-        List.fold_left (fun acc v -> (coord, v.mv_cell) :: acc) acc tail
+        List.fold_left (fun acc c -> (coord, c) :: acc) acc tail
       | _ -> acc)
     t.mvcc []
 

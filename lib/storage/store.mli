@@ -32,7 +32,6 @@ val create :
   ?max_sstables:int ->
   ?tier_growth:float ->
   ?cache_capacity:int ->
-  ?mvcc_depth:int ->
   unit ->
   t
 (** [newer] (default {!Row.newer_by_lsn}) resolves overlaps between tables on
@@ -43,10 +42,7 @@ val create :
     (similarity factor [tier_growth], default {!Compaction.default_growth}).
     [max_sstables] (default 16) forces a full merge with tombstone GC.
     [cache_capacity] (default 0 = disabled) bounds the LRU row cache in
-    entries. [mvcc_depth] (default 64) caps each coordinate's in-memory
-    version chain; a snapshot read below the cap falls back to the newest
-    visible version still in the memtable or SSTables, which keep only one
-    version per coordinate each. *)
+    entries. *)
 
 val cohort : t -> int
 
@@ -101,7 +97,19 @@ val read : t -> Row.coord -> Row.cell option
 val current_version : t -> Row.coord -> int
 (** Version of the newest cell, 0 if the coordinate was never written. *)
 
-(** {2 MVCC snapshot reads and the transaction intent index} *)
+(** {2 MVCC snapshot reads and the transaction intent index}
+
+    Snapshot history lives in per-coordinate in-memory version chains,
+    newest first, kept only where the memtable and SSTables alone cannot
+    answer. A coordinate is chained from its second version on (the first
+    is read back from the LSM when the second arrives), or from its first
+    when that is a tombstone (full compaction drops it) or was installed by
+    a committed transaction (its history pins the log, see {!flush}). A
+    coordinate with a single plain version has no chain: the LSM's newest
+    cell is that version. A chain holds at most 64 versions; a snapshot
+    read below the cap falls back to the newest visible version still in
+    the memtable or SSTables, which keep only one version per coordinate
+    each. *)
 
 type snap_result =
   | Snap_cell of Row.cell  (** visible at the fence (may be a tombstone) *)
@@ -123,6 +131,9 @@ val head_info : t -> Row.coord -> (Lsn.t * int option) option
 (** Newest installed version of a base coordinate: its LSN and, when it was
     installed by a committed transaction, that transaction's commit
     timestamp. The first-committer-wins conflict check's input. *)
+
+val chained_coords : t -> int
+(** Coordinates that currently hold a version chain. *)
 
 val intent_txn_at : t -> Row.coord -> string option
 (** The transaction holding an unresolved write intent on this (base)
@@ -190,7 +201,8 @@ val wipe : t -> unit
 
 val recover : t -> Lsn.t * Lsn.t
 (** Local recovery. Rebuilds the MVCC chains from the records rollover kept
-    at or below the checkpoint (their data is already in SSTables), then the
+    at or below the checkpoint (their data is already in SSTables; a
+    coordinate with one plain version among them gets no chain), then the
     memtable and chains from the checkpoint through f.cmt, and returns
     [(f.cmt, f.lst)] as read from stable storage. *)
 

@@ -1010,6 +1010,36 @@ let test_store_cache_cleared_on_crash () =
   check_str_opt "recovery unaffected" (Some "v")
     (Option.bind (Store.read store ("k1", "c")) (fun c -> c.Row.value))
 
+(* A coordinate written once has no version chain: the memtable or an
+   SSTable answers for it. Overwriting it chains it, and the chain keeps the
+   first version, read back from the LSM, for snapshot reads below the
+   overwrite. *)
+let test_store_chains_only_overwritten_coords () =
+  let _, _, store = make_store () in
+  let n = 50 and k = 7 in
+  let key i = Printf.sprintf "k%03d" i in
+  for i = 1 to n do
+    apply_put store ~l:(lsn 1 i) (key i) (Printf.sprintf "a%d" i)
+  done;
+  check_int "written once: no chains" 0 (Store.chained_coords store);
+  Store.flush store;
+  for i = 1 to k do
+    apply_put store ~l:(lsn 1 (n + i)) (key i) (Printf.sprintf "b%d" i)
+  done;
+  check_int "one chain per overwritten coordinate" k (Store.chained_coords store);
+  for i = 1 to n do
+    let want_old = Some (Printf.sprintf "a%d" i) in
+    (match Store.snapshot_get store (key i, "c") ~fence:(lsn 1 n) ~fence_ts:0 with
+    | Store.Snap_cell c -> check_str_opt "first version below the overwrite" want_old c.Row.value
+    | _ -> Alcotest.fail "first version lost");
+    match Store.snapshot_get store (key i, "c") ~fence:(lsn 1 (n + k)) ~fence_ts:0 with
+    | Store.Snap_cell c ->
+      check_str_opt "newest version"
+        (Some (if i <= k then Printf.sprintf "b%d" i else Printf.sprintf "a%d" i))
+        c.Row.value
+    | _ -> Alcotest.fail "newest version lost"
+  done
+
 let suite =
   [
     Alcotest.test_case "lsn: ordering" `Quick test_lsn_ordering;
@@ -1093,4 +1123,6 @@ let suite =
     Alcotest.test_case "store: cache covers negative lookups" `Quick
       test_store_cache_negative_lookups;
     Alcotest.test_case "store: cache cleared on crash" `Quick test_store_cache_cleared_on_crash;
+    Alcotest.test_case "store: only overwritten coordinates hold chains" `Quick
+      test_store_chains_only_overwritten_coords;
   ]

@@ -93,12 +93,12 @@ let prop_single_key_txn_differential =
 
 (* --- MVCC visibility at the store ----------------------------------------- *)
 
-let make_logged_store ?(cache_capacity = 0) () =
+let make_logged_store ?(cache_capacity = 0) ?compaction_fanin ?max_sstables () =
   let engine = Sim.Engine.create () in
   let disk = Sim.Resource.create engine ~name:"d" () in
   let model = Sim.Disk_model.create Sim.Disk_model.Ssd in
   let wal = Wal.create engine ~disk ~model ~rng:(Sim.Rng.create 1) () in
-  (engine, wal, Store.create ~cohort:0 ~wal ~cache_capacity ())
+  (engine, wal, Store.create ~cohort:0 ~wal ~cache_capacity ?compaction_fanin ?max_sstables ())
 
 let make_store ?cache_capacity () =
   let _, _, store = make_logged_store ?cache_capacity () in
@@ -390,6 +390,169 @@ let test_checker_accepts_serial_chain () =
     ~writes:[ "y" ];
   Alcotest.(check int) "serial chain is clean" 0 (List.length (History.check_serializable h))
 
+(* --- lazy chains: the LSM answers alone until a second version ------------- *)
+
+(* One step of a single-coordinate history. Version i (LSN 1.i) is applied
+   at timestamp i*100; a transactional version commits at ts i*100. *)
+type step = Put | Del | Txn_put | Txn_del | Flush | Major
+
+let step_name = function
+  | Put -> "put"
+  | Del -> "del"
+  | Txn_put -> "txn-put"
+  | Txn_del -> "txn-del"
+  | Flush -> "flush"
+  | Major -> "major"
+
+let is_txn = function Txn_put | Txn_del -> true | _ -> false
+let is_tomb = function Del | Txn_del -> true | _ -> false
+
+(* Version indices [lo + 1 .. hi]. *)
+let versions_above lo ~upto = List.init (upto - lo) (fun i -> lo + i + 1)
+
+(* The store plus a model of what durable state holds: [tables] (one version
+   per SSTable, newest first), [mem] (newest version since the last flush),
+   [gc] (the log rolls over through this version index). Automatic
+   compaction is off, so only [Major] merges tables. *)
+type history = {
+  engine : Sim.Engine.t;
+  wal : Wal.t;
+  store : Store.t;
+  kinds : (int, step) Hashtbl.t;  (** version index -> how it was written *)
+  mutable n : int;
+  mutable tables : int list;
+  mutable mem : int option;
+  mutable gc : int;
+  mutable txn_seen : bool;
+}
+
+let run_step h step =
+  match step with
+  | Flush ->
+    (match h.mem with
+    | Some m ->
+      h.tables <- m :: h.tables;
+      (* Rollover stops at the checkpoint unless a committed transaction
+         touched the coordinate: then it keeps the chain's oldest record,
+         version 1, and so drops nothing. *)
+      if not h.txn_seen then h.gc <- max h.gc m;
+      h.mem <- None
+    | None -> ());
+    Store.flush h.store;
+    Sim.Engine.run h.engine
+  | Major ->
+    (match h.tables with
+    | [] -> ()
+    | _ ->
+      let newest = List.fold_left max 0 h.tables in
+      h.tables <- (if is_tomb (Hashtbl.find h.kinds newest) then [] else [ newest ]));
+    Store.major_compact h.store
+  | Put | Del | Txn_put | Txn_del ->
+    h.n <- h.n + 1;
+    let i = h.n in
+    let key, col = coord in
+    let op =
+      match step with
+      | Put -> Log_record.Put { key; col; value = Printf.sprintf "v%d" i; version = i }
+      | Del -> Log_record.Delete { key; col; version = i }
+      | _ ->
+        let value = if step = Txn_put then Some (Printf.sprintf "v%d" i) else None in
+        Log_record.Txn_resolve
+          {
+            txn = Printf.sprintf "t%d" i;
+            commit = true;
+            ts = i * 100;
+            writes = [ (key, col, value, i) ];
+          }
+    in
+    Hashtbl.replace h.kinds i step;
+    if is_txn step then h.txn_seen <- true;
+    h.mem <- Some i;
+    Wal.append h.wal (Log_record.write ~cohort:0 ~lsn:(lsn 1 i) ~timestamp:(i * 100) op);
+    Store.apply h.store ~lsn:(lsn 1 i) ~timestamp:(i * 100) op
+
+(* Compare the store with the interval rule over [held], the version indices
+   durable state still holds: every fence up to one past the newest
+   version, and the head. *)
+let check_against h held ~where =
+  let visible ~fence_idx ~fence_ts i =
+    if is_txn (Hashtbl.find h.kinds i) then i * 100 <= fence_ts else i <= fence_idx
+  in
+  let newest pred = List.fold_left (fun a i -> if pred i then max a i else a) 0 held in
+  for fence_idx = 0 to h.n + 1 do
+    for ts_idx = 0 to h.n + 1 do
+      let fence = if fence_idx = 0 then Lsn.zero else lsn 1 fence_idx in
+      let fence_ts = ts_idx * 100 in
+      let got =
+        match Store.snapshot_get h.store coord ~fence ~fence_ts with
+        | Store.Snap_cell c -> c.Row.lsn.Lsn.seq
+        | Store.Snap_none -> 0
+        | Store.Snap_blocked _ -> -1
+      in
+      let want = newest (visible ~fence_idx ~fence_ts) in
+      if got <> want then
+        QCheck.Test.fail_reportf "%s: fence %d ts %d: got version %d, want %d" where fence_idx
+          fence_ts got want
+    done
+  done;
+  let want_head =
+    match newest (fun _ -> true) with
+    | 0 -> None
+    | m -> Some (lsn 1 m, if is_txn (Hashtbl.find h.kinds m) then Some (m * 100) else None)
+  in
+  if Store.head_info h.store coord <> want_head then
+    QCheck.Test.fail_reportf "%s: head_info disagrees with version %d" where
+      (match want_head with Some (l, _) -> l.Lsn.seq | None -> 0)
+
+let gen_step ~major =
+  QCheck.Gen.frequency
+    (List.map
+       (fun (w, step) -> (w, QCheck.Gen.return step))
+       ([ (4, Put); (2, Del); (2, Txn_put); (1, Txn_del); (2, Flush) ]
+       @ if major then [ (1, Major) ] else []))
+
+(* Histories of plain puts, deletes, transactional resolves, flushes and
+   major compactions, then optionally a crash, recovery and more writes and
+   flushes. Before the crash the store must hold every version. After it,
+   the log keeps the records above its rollover point and the SSTables
+   their one version each, and nothing else. No major compaction follows
+   the crash, so the SSTables still hold what they held when it happened. *)
+let prop_lazy_chains_match_interval_rule =
+  QCheck.Test.make ~name:"lazy chains keep snapshot_get and head_info exact" ~count:1000
+    QCheck.(
+      make
+        ~print:(fun (before, crash, after) ->
+          let names l = String.concat " " (List.map step_name l) in
+          Printf.sprintf "%s%s" (names before)
+            (if crash then " | crash | " ^ names after else ""))
+        Gen.(
+          triple
+            (list_size (int_range 1 14) (gen_step ~major:true))
+            bool
+            (list_size (int_range 0 6) (gen_step ~major:false))))
+    (fun (before, crash, after) ->
+      let engine, wal, store =
+        make_logged_store ~compaction_fanin:max_int ~max_sstables:max_int ()
+      in
+      let h =
+        { engine; wal; store; kinds = Hashtbl.create 16; n = 0; tables = []; mem = None; gc = 0;
+          txn_seen = false }
+      in
+      List.iter (run_step h) before;
+      check_against h (versions_above 0 ~upto:h.n) ~where:"before the crash";
+      if crash then begin
+        Wal.append wal (Log_record.commit_upto ~cohort:0 (lsn 1 h.n));
+        Wal.force wal ignore;
+        Sim.Engine.run engine;
+        let held = List.sort_uniq compare (h.tables @ versions_above h.gc ~upto:h.n) in
+        Store.crash store;
+        ignore (Store.recover store);
+        let pre = h.n in
+        List.iter (run_step h) after;
+        check_against h (held @ versions_above pre ~upto:h.n) ~where:"after the crash"
+      end;
+      true)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_single_key_txn_differential;
@@ -407,4 +570,5 @@ let suite =
       test_checker_catches_phantom_writer;
     Alcotest.test_case "checker accepts a serial chain" `Quick
       test_checker_accepts_serial_chain;
+    QCheck_alcotest.to_alcotest prop_lazy_chains_match_interval_rule;
   ]
